@@ -35,8 +35,8 @@ Commands
     ``--jobs`` run the sharded link).
 ``constraints solve FILE...``
     Solve constraint-text files directly — the second front door that
-    bypasses the C frontend.  ``--config``, ``--backend``, ``--reduce``
-    and ``--jobs`` pass through to the existing solver stack.
+    bypasses the C frontend.  ``--config``, ``--backend`` and ``--jobs``
+    pass through to the existing solver stack.
 ``audit CLIENT FILE...``
     Run one scenario audit client (``escape``, ``races``, ``dangling``,
     ``calls``) over the linked+solved program; C and ``.lir`` members
@@ -69,6 +69,7 @@ from typing import List, Optional
 from . import __version__
 from .analysis import (
     DEFAULT_CONFIGURATION,
+    ConfigurationError,
     analyze_module,
     build_constraints,
     enumerate_configurations,
@@ -152,8 +153,6 @@ def cmd_analyze(args) -> int:
     config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
     if args.pts_backend:
         config = dataclasses.replace(config, pts=args.pts_backend)
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
     result = analyze_module(module, config)
     program = result.built.program
     solution = result.solution
@@ -441,8 +440,6 @@ def cmd_audit(args) -> int:
     config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
     if args.pts_backend:
         config = dataclasses.replace(config, pts=args.pts_backend)
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
     options = LinkOptions(
         internalize=args.internalize,
         keep=tuple(args.keep.split(",")) if args.keep else ("main",),
@@ -671,8 +668,6 @@ def cmd_constraints_solve(args) -> int:
     from .interchange import parse_constraint_text
 
     config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
     tasks = []
     contexts = {}
     programs = {}
@@ -969,11 +964,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="points-to-set representation (default: the config's, i.e. set)",
     )
-    p.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
-    )
     p.add_argument("--dump-constraints", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -1054,11 +1044,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("set", "bitset"),
         default=None,
         help="points-to-set representation (default: the config's)",
-    )
-    p.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
     )
     p.add_argument(
         "--oracle",
@@ -1173,11 +1158,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("set", "bitset"),
         default=None,
         help="points-to-set representation (--backend is an alias)",
-    )
-    ps.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
     )
     ps.add_argument(
         "--jobs", type=int, default=1,
@@ -1297,6 +1277,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigurationError as exc:
+        # A bad --config name is a usage error, like argparse's own.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except FRONTEND_ERRORS as exc:
         print(f"repro: error: {describe_error(exc)}", file=sys.stderr)
         return 1

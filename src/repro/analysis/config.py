@@ -4,12 +4,8 @@ A configuration picks one choice per axis:
 
 - **Pointer representation**: ``EP`` (explicit pointees; Ω materialised)
   or ``IP`` (implicit pointees; Ω as flags).
-- **Offline constraint processing**: OVS on/off, and the stronger
-  ``Reduce`` axis (full offline reduction: HVN merging, constraint
-  rewriting/dedup, chain collapse, base subsumption — see
-  :mod:`repro.analysis.reduce`).  ``Reduce`` subsumes OVS: its merge
-  groups contain every OVS group, so with ``reduce`` on the separate
-  OVS pass is skipped even when requested.
+- **Offline constraint processing**: OVS on/off (offline variable
+  substitution, see :mod:`repro.analysis.solvers.ovs`).
 - **Solver**: ``Naive`` or ``WL`` (worklist).
 - **Worklist iteration order** (WL only): FIFO, LIFO, LRF, 2LRF, TOPO.
 - **Worklist online techniques** (WL only): PIP, OCD, HCD, LCD, DP.
@@ -85,11 +81,6 @@ class Configuration:
     #: points-to-set backend (orthogonal to the paper's axes; never
     #: enumerated — both backends produce identical solutions)
     pts: str = DEFAULT_PTS_BACKEND
-    #: offline constraint reduction (beyond the paper's Table IV, like
-    #: ``pts`` not enumerated): preserves the named canonical solution
-    #: for every configuration; register Sol sets may widen to their
-    #: copy target's (see :mod:`repro.analysis.reduce`)
-    reduce: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -128,8 +119,6 @@ class Configuration:
         parts = [self.representation]
         if self.ovs:
             parts.append("OVS")
-        if self.reduce:
-            parts.append("Reduce")
         if self.solver == "WL":
             parts.append(f"WL({self.order})")
         else:
@@ -162,7 +151,6 @@ class Configuration:
             f";solver={self.solver};order={self.order or '-'}"
             f";pip={int(self.pip)};ocd={int(self.ocd)};hcd={int(self.hcd)}"
             f";lcd={int(self.lcd)};dp={int(self.dp)};pts={self.pts}"
-            f";reduce={int(self.reduce)}"
         )
 
     def __str__(self) -> str:
@@ -182,15 +170,12 @@ def parse_name(name: str) -> Configuration:
         "lcd": False,
         "dp": False,
         "pts": DEFAULT_PTS_BACKEND,
-        "reduce": False,
     }
     for part in name.replace(" ", "").split("+"):
         if part in REPRESENTATIONS:
             kwargs["representation"] = part
         elif part == "OVS":
             kwargs["ovs"] = True
-        elif part == "Reduce":
-            kwargs["reduce"] = True
         elif part == "Naive":
             kwargs["solver"] = "Naive"
         elif part == "Wave":
@@ -276,29 +261,8 @@ def solve_prepared(
 
     This is the timed region of the runtime benchmarks: OVS (an offline
     *solver* technique) is included, the representation change is not.
-    The offline reduction is a per-program artifact — derived once and
-    memoised against the program object (exactly like the driver's
-    cached EP twin), so the first solve pays for the rewrite and repeat
-    solves over the same program (the benchmarks' timed repetitions)
-    measure solving the already-reduced constraints.
     """
-    reduction = None
-    original = prepared
-    if config.reduce:
-        from .reduce import reduce_program_cached
-
-        reduction = reduce_program_cached(prepared)
-        prepared = reduction.program
-        # The reduction's merge groups carry the same labels OVS would
-        # compute, so a separate OVS pass is subsumed — and must not run
-        # on the rewritten program (emptied rows would alias labels).
-        # Only classes holding location identities need real solver
-        # unions; register-only classes are fixed up at extraction.
-        unions = reduction.solver_unions or None
-    elif config.ovs:
-        unions = compute_ovs_groups(prepared)
-    else:
-        unions = None
+    unions = compute_ovs_groups(prepared) if config.ovs else None
     if config.solver == "Naive":
         solver = NaiveSolver(prepared, presolve_unions=unions, pts=config.pts)
     elif config.solver == "Wave":
@@ -315,30 +279,7 @@ def solve_prepared(
             presolve_unions=unions,
             pts=config.pts,
         )
-    if reduction is not None and reduction.new2old is not None:
-        state = getattr(solver, "state", None)
-        if state is not None:
-            # State-based solvers translate back to the original
-            # universe during extraction — one pass, no expand step.
-            state.remap = (original, reduction.new2old, reduction.alias_of)
-    solution = solver.solve()
-    if reduction is not None:
-        if reduction.new2old is not None:
-            if solution.program is not original:
-                from .reduce import expand_solution
-
-                solution = expand_solution(
-                    solution, original, reduction.new2old, reduction.alias_of
-                )
-        else:
-            solution.share_representative_sols(reduction.alias_of)
-        st = solution.stats
-        st.reduce_vars_merged = (
-            reduction.stats.vars_before - reduction.stats.vars_after
-        )
-        st.reduce_chains_collapsed = reduction.stats.chains_collapsed
-        st.reduce_constraints_removed = reduction.stats.constraints_removed
-    return solution
+    return solver.solve()
 
 
 def run_configuration(

@@ -33,7 +33,6 @@ from typing import Dict
 from .base import PTSBackend
 from .bitset import Bitset, BitsetBackend
 from .intern import InternTable
-from .memo import OpMemo
 from .setpts import SetBackend
 
 #: registry of selectable backends, keyed by their CLI/config names
@@ -62,7 +61,6 @@ __all__ = [
     "Bitset",
     "BitsetBackend",
     "InternTable",
-    "OpMemo",
     "PTS_BACKENDS",
     "DEFAULT_PTS_BACKEND",
     "get_backend",

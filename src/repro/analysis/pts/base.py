@@ -64,7 +64,7 @@ class PTSBackend:
         Semantically ``[self.from_iter(r) for r in rows]``; backends
         override it to build all rows in one native pass (state
         construction is a fixed per-solve cost, so this matters for the
-        small/offline-reduced programs where solving itself is cheap).
+        small programs where solving itself is cheap).
         """
         return [self.from_iter(r) for r in rows]
 

@@ -75,19 +75,6 @@ class SolverStats:
     pip_edges_elided: int = 0
     #: explicit Sol_e sets cleared by PIP
     pip_sets_cleared: int = 0
-    #: variables folded away by the offline reduction pass (|V| delta;
-    #: 0 when the configuration's ``reduce`` axis is off)
-    reduce_vars_merged: int = 0
-    #: never-read copy-chain registers folded into their target
-    reduce_chains_collapsed: int = 0
-    #: constraints removed offline (duplicates, self-edges, merged
-    #: flags, subsumed base members)
-    reduce_constraints_removed: int = 0
-    #: operation-memo lookups answered from cache / computed fresh
-    #: (:class:`repro.analysis.pts.OpMemo`; 0 for backends without a
-    #: cheap value key and for solvers that bypass the memo)
-    memo_hits: int = 0
-    memo_misses: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-dict form for JSON cache entries and task results."""
@@ -146,9 +133,8 @@ class Solution:
         return OMEGA in self._points_to[p]
 
     def pointers(self) -> Iterable[int]:
-        # Sorted, not insertion order: extraction paths (fused remap,
-        # cache decode) build the dict in different orders, and display
-        # must not reveal which one produced the solution.
+        # Sorted, not insertion order: display must not depend on which
+        # path (a solver's extraction or a cache decode) built the dict.
         return sorted(self._points_to)
 
     # ------------------------------------------------------------------
@@ -186,23 +172,6 @@ class Solution:
     def total_pointees(self) -> int:
         """Σ|Sol(p)| over all pointers (full, implicit-expanded solution)."""
         return sum(len(s) for s in self._points_to.values())
-
-    def share_representative_sols(self, alias_of: Dict[int, int]) -> None:
-        """Hand each merged-away pointer its representative's Sol set.
-
-        The offline reduction (:mod:`repro.analysis.reduce`) rewrites
-        all constraints of a register-only equivalence class onto one
-        representative instead of unifying the class in the solver, so
-        after extraction only the representative carries the class's
-        Sol.  This reattaches the shared frozenset to the other members
-        (the reduction proves the class pointer-equivalent, so this *is*
-        their solution).
-        """
-        points_to = self._points_to
-        for q, rep in alias_of.items():
-            s = points_to.get(rep)
-            if s is not None and q in points_to:
-                points_to[q] = s
 
     # ------------------------------------------------------------------
     # Canonical wire form (parallel driver / on-disk cache)

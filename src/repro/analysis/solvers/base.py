@@ -24,11 +24,11 @@ with one native intersection instead of per-element Python tests.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Set, Union
 
 from ..constraints import ConstraintProgram
 from ..omega import OMEGA
-from ..pts import InternTable, OpMemo, PTSBackend, get_backend
+from ..pts import InternTable, PTSBackend, get_backend
 from ..solution import Solution, SolverStats
 from ..unionfind import UnionFind
 
@@ -103,17 +103,8 @@ class SolverState:
         #: already-marked locations in one native difference
         self.ea_mask = backend.from_iter(compress(range(n), program.flag_ea))
         self.stats = SolverStats()
-        #: operation-level memo over Sol_e values (MDE-style dedup); a
-        #: no-op pass-through for backends without a cheap value key
-        self.memo = OpMemo(backend)
         #: hook set by cycle detectors; called as on_union(survivor, dead)
         self.on_union = None
-        #: set by :func:`repro.analysis.config.solve_prepared` when the
-        #: program is an offline-compacted rewrite: a (target program,
-        #: new2old, alias_of) triple making extraction emit the solution
-        #: directly in the original variable universe — one pass instead
-        #: of extract-then-expand
-        self.remap = None
         #: False until the first union: lets the hot paths skip
         #: canonicalisation entirely for the (common) cycle-free case
         self.any_unions = False
@@ -238,37 +229,18 @@ class SolverState:
         representative and interned (:class:`InternTable`), so every
         pointer sharing a solver-level set also shares one frozenset in
         the Solution — and coincidentally-equal sets collapse too.
-
-        With :attr:`remap` set (offline-compacted programs), every
-        index is translated back to the original variable universe as
-        it is emitted, and merged-away pointers receive their
-        representative's shared frozenset — the single extraction pass
-        produces the final original-universe solution.
         """
         program = self.program
         self.stats.explicit_pointees = self.count_explicit_pointees()
-        self.stats.memo_hits = self.memo.hits
-        self.stats.memo_misses = self.memo.misses
         omega = program.omega
         if omega is not None:
             return self._extract_ep(omega)
-        out_program, new2old, alias_of = self.remap or (program, None, None)
         find = self.uf.find
-        ea_mvars = (
+        external = frozenset(
             x
             for x in compress(range(program.num_vars), program.in_m)
             if self.ea[x]
         )
-        if new2old is None:
-            external = frozenset(ea_mvars)
-            lift = frozenset
-        else:
-            external = frozenset(new2old[x] for x in ea_mvars)
-            item = new2old.__getitem__
-
-            def lift(full):
-                return frozenset(map(item, full))
-
         ext_plus = external | {OMEGA}
         intern = InternTable()
         key_of = self.pts.cache_key
@@ -286,8 +258,7 @@ class SolverState:
                 full = self.full_sol(r)
                 if not full and not self.pte[r]:
                     # Empty and unwidened: one shared ∅, skipping the
-                    # freeze/key machinery — the common case after the
-                    # offline reduction hollows nodes.
+                    # freeze/key machinery.
                     if empty_sol is None:
                         empty_sol = intern.intern(frozenset())
                     s = empty_sol
@@ -301,50 +272,31 @@ class SolverState:
                         k = (k, self.pte[r])
                         s = by_key.get(k)
                     if s is None:
-                        s = lift(full)
+                        s = frozenset(full)
                         if self.pte[r]:
                             s = s | ext_plus
                         s = intern.intern(s)
                         if k is not None:
                             by_key[k] = s
                 by_rep[r] = s
-            points_to[p if new2old is None else new2old[p]] = s
-        if alias_of is not None:
-            self._fill_aliases(points_to, out_program, alias_of)
+            points_to[p] = s
         self.stats.shared_sets = len(intern)
-        return Solution(out_program, points_to, external, self.stats)
+        return Solution(program, points_to, external, self.stats)
 
     def _extract_ep(self, omega: int) -> Solution:
         find = self.uf.find
         program = self.program
-        out_program, new2old, alias_of = self.remap or (program, None, None)
         sol_omega = self.full_sol(find(omega))
         wire = frozenset((OMEGA,))
-        if new2old is None:
-            external = frozenset(x for x in sol_omega if x != omega)
-            omega_set = frozenset((omega,))
+        external = frozenset(x for x in sol_omega if x != omega)
+        omega_set = frozenset((omega,))
 
-            def lift(full):
-                # One membership probe + C-level set ops beat a
-                # per-member conditional: Ω is in at most one slot.
-                if omega in full:
-                    return frozenset(full) - omega_set | wire
-                return frozenset(full)
-
-        else:
-            item = new2old.__getitem__
-            external = frozenset(
-                new2old[x] for x in sol_omega if x != omega
-            )
-            # new2old is injective: only the compact Ω maps to the
-            # original Ω index, so dropping it after the bulk remap is
-            # exact.
-            omega_set = frozenset((new2old[omega],))
-
-            def lift(full):
-                if omega in full:
-                    return frozenset(map(item, full)) - omega_set | wire
-                return frozenset(map(item, full))
+        def lift(full):
+            # One membership probe + C-level set ops beat a
+            # per-member conditional: Ω is in at most one slot.
+            if omega in full:
+                return frozenset(full) - omega_set | wire
+            return frozenset(full)
 
         intern = InternTable()
         key_of = self.pts.cache_key
@@ -373,27 +325,6 @@ class SolverState:
                         if k is not None:
                             by_key[k] = s
                 by_rep[r] = s
-            points_to[p if new2old is None else new2old[p]] = s
-        if alias_of is not None:
-            self._fill_aliases(points_to, out_program, alias_of)
+            points_to[p] = s
         self.stats.shared_sets = len(intern)
-        return Solution(out_program, points_to, external, self.stats)
-
-    @staticmethod
-    def _fill_aliases(
-        points_to: Dict[int, FrozenSet],
-        out_program: ConstraintProgram,
-        alias_of: Dict[int, int],
-    ) -> None:
-        """Give merged-away pointers their representative's Sol set.
-
-        Exactly the pointers extraction materialises (``in_p``, not Ω)
-        get entries; classes whose representative has no Sol (no pointer
-        member) contribute nothing.
-        """
-        in_p, omega = out_program.in_p, out_program.omega
-        for q, rep in alias_of.items():
-            if in_p[q] and q != omega and q not in points_to:
-                s = points_to.get(rep)
-                if s is not None:
-                    points_to[q] = s
+        return Solution(program, points_to, external, self.stats)

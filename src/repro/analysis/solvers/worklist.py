@@ -33,12 +33,7 @@ Pointee sets go through the pluggable :mod:`repro.analysis.pts` backend
   the precomputed program masks (pointer members, §V-B incompatible
   locations, Func holders, ImpFunc/ExtFunc) instead of re-testing every
   member per store/load/call target, and hoist the union-find lookups
-  out of the per-target loops;
-- those mask filters run through the state's operation memo
-  (:class:`repro.analysis.pts.OpMemo`): a node revisited with an
-  unchanged Sol_e value answers its member decodes and intersection
-  tests from cache (value-keyed, so only backends with a cheap value
-  key participate — the bitset backend's packed integer).
+  out of the per-target loops.
 """
 
 from __future__ import annotations
@@ -50,15 +45,6 @@ from ..pts import PTSBackend
 from ..solution import Solution
 from .base import SolverState
 from .orders import TopoWorklist, Worklist, WORKLIST_ORDERS
-
-# Operation-memo tags: one per (operation, mask) role, shared between
-# the IP and EP visit bodies so equal filters dedup across rules.
-_MEMO_PTR = 1  # work & masks.p → members
-_MEMO_INCOMPAT = 2  # work & masks.incompat → non-empty?
-_MEMO_EA_DIFF = 3  # work - ea_mask → members
-_MEMO_FUNC = 4  # work & masks.func → members
-_MEMO_IMPFUNC = 5  # work & masks.impfunc → non-empty?
-_MEMO_EXTFUNC = 6  # work & masks.extfunc → non-empty?
 
 
 class WorklistSolver:
@@ -340,7 +326,7 @@ class WorklistSolver:
         # (mark_external only ever adds the location being processed to
         # ea_mask, so the pending difference is safe to snapshot once.)
         if st.pe[n] and work:
-            pending = st.memo.difference(work, st.ea_mask, _MEMO_EA_DIFF)
+            pending = work - st.ea_mask
             if pending:
                 for x in pending:
                     self.mark_external(x)
@@ -370,13 +356,13 @@ class WorklistSolver:
         # pointer-compatible member, and whether any §V-B pointer-
         # incompatible location is present (it behaves as Ω).
         if work and (st.stores[n] or st.loads[n] or st.sscalar[n] or st.lscalar[n]):
-            wp = st.memo.members(work, masks.p, _MEMO_PTR)
+            wp = work & masks.p
             if st.any_unions:
                 find = st.find
                 wptr_reps = {find(x) for x in wp}
             else:
                 wptr_reps = set(wp)
-            w_incompat = st.memo.intersects(work, masks.incompat, _MEMO_INCOMPAT)
+            w_incompat = bool(work & masks.incompat)
         else:
             wptr_reps = ()
             w_incompat = False
@@ -420,8 +406,8 @@ class WorklistSolver:
         # Calls through n.
         if st.call_idx[n]:
             if work:
-                w_funcs = st.memo.members(work, masks.func, _MEMO_FUNC)
-                w_imported = st.memo.intersects(work, masks.impfunc, _MEMO_IMPFUNC)
+                w_funcs = work & masks.func
+                w_imported = bool(work & masks.impfunc)
             else:
                 w_funcs = ()
                 w_imported = False
@@ -483,7 +469,7 @@ class WorklistSolver:
 
         masks = st.masks
         if work and (st.stores[n] or st.loads[n]):
-            wp = st.memo.members(work, masks.p, _MEMO_PTR)
+            wp = work & masks.p
             if st.any_unions:
                 find = st.find
                 wptr_reps = {find(x) for x in wp}
@@ -491,7 +477,7 @@ class WorklistSolver:
                 wptr_reps = set(wp)
             # §V-B: pointer-incompatible locations (other than Ω itself)
             # behave as Ω when dereferenced onto.
-            w_incompat = st.memo.intersects(work, masks.incompat, _MEMO_INCOMPAT)
+            w_incompat = bool(work & masks.incompat)
         else:
             wptr_reps = ()
             w_incompat = False
@@ -525,10 +511,10 @@ class WorklistSolver:
         # Calls through n.
         if st.call_idx[n]:
             if work:
-                w_funcs = st.memo.members(work, masks.func, _MEMO_FUNC)
+                w_funcs = work & masks.func
                 # Func(x, Ω, …, Ω) for some pointee: unknown external
                 # function — the induced edges are target-independent.
-                w_extfunc = st.memo.intersects(work, masks.extfunc, _MEMO_EXTFUNC)
+                w_extfunc = bool(work & masks.extfunc)
             else:
                 w_funcs = ()
                 w_extfunc = False
@@ -548,7 +534,7 @@ class WorklistSolver:
 
         # Call_e: external modules call everything n points to (④).
         if st.extcall[n] and work:
-            for x in st.memo.members(work, masks.func, _MEMO_FUNC):
+            for x in work & masks.func:
                 for fi in program.funcs_of[x]:
                     fc = program.funcs[fi]
                     if fc.ret is not None:

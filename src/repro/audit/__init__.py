@@ -15,8 +15,8 @@ severity-ranked audit reports with evidence chains:
 ==========  ==========================================================
 
 Every client runs under every alias oracle (``andersen`` / ``basicaa``
-/ ``combined``), honours the ``Reduce`` solver axis transparently (it
-consumes the canonical solution, which Reduce preserves exactly) and
+/ ``combined``), consumes only the canonical solution (so every solver
+configuration and points-to-set backend gives the same report) and
 produces byte-identical canonical reports across ``--jobs`` and cache
 state.  Surfaces: ``repro audit <client>`` (CLI), the cached ``audit``
 pipeline stage, and the serve ``audit``/``audit_batch`` query methods.

@@ -12,7 +12,7 @@ paths and records the trajectory:
   1-job/8-job wall-clock ratio reported against the ≥3x near-linear
   target (recorded honestly: the record carries ``cpu_count``, and a
   1-core machine cannot show wall-clock parallel speedup — the gap
-  analysis lives in ``docs/internals.md`` §15);
+  analysis lives in ``docs/internals.md`` §14);
 - **shards sweep** — wall-clock vs shard count at fixed jobs (the
   ``repro sweep --shards``-style axis);
 - **warm + one-TU edit** — a persistent cache run proving the

@@ -21,23 +21,10 @@ Two configuration groups are measured and reported separately:
   so the group documents that the bitset backend is roughly neutral
   where its strength cannot apply.
 
-A third group measures the offline constraint reduction
-(:mod:`repro.analysis.reduce`):
-
-- **reduce**: each sparse-control configuration solved with ``reduce``
-  off vs on, both under the ``set`` backend (reduction's win is fewer
-  variables and constraints, which the sparse representation banks
-  directly; the bitset backend re-densifies and gives the win back).
-  Pairs are equivalence-checked on the *named* canonical form — the
-  positional form legitimately differs because merged registers carry
-  widened (pointer-equivalent) solutions.  Reduction itself runs once
-  per program and is memoised (:func:`reduce_program_cached`), so the
-  timed repetitions measure the steady-state solve, matching how the
-  driver and serve layers amortise it.
-
 The headline acceptance target (median propagation-group speedup ≥ 2×)
-and the reduction target (median reduce-group speedup ≥ 1.5×) are
-evaluated and stored in the run record.
+is evaluated and stored in the run record.  Older records in the
+trajectory file may also carry fields of a since-removed ``reduce``
+group; appending never rewrites them.
 
 Usage::
 
@@ -49,7 +36,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import platform
@@ -57,8 +43,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.config import parse_name
-from ..analysis.solution import Solution
 from ..driver import ResultCache, SolveTask, TaskResult, solve_tasks, source_digest
 from ..obs import Registry, TraceWriter
 from .runner import build_contexts
@@ -81,9 +65,6 @@ CONTROL_CONFIGS = [
 ]
 
 SPEEDUP_TARGET = 2.0
-
-#: acceptance floor for the reduce group (off/on median, set backend)
-REDUCE_SPEEDUP_TARGET = 1.5
 
 
 #: per-task metadata parallel to the task list: (file, config, group)
@@ -157,82 +138,6 @@ def pair_rows(
                 "speedup": set_result.runtime_s / bitset_result.runtime_s,
                 "explicit_pointees": set_stats["explicit_pointees"],
                 "shared_sets": set_stats["shared_sets"],
-            }
-        )
-    return rows
-
-
-def build_reduce_tasks(
-    files: Sequence[CorpusFile],
-    config_names: Sequence[str],
-    repetitions: int,
-) -> Tuple[List[SolveTask], List[PairMeta]]:
-    """One reduce-off and one reduce-on task per (file, config).
-
-    Both tasks use the ``set`` backend; the pair is adjacent (off at
-    even index, on at odd), mirroring :func:`build_backend_tasks`.
-    """
-    tasks: List[SolveTask] = []
-    meta: List[PairMeta] = []
-    for file in files:
-        digest = source_digest(file.source)
-        for name in config_names:
-            on_name = dataclasses.replace(parse_name(name), reduce=True).name
-            for config_name in (name, on_name):
-                tasks.append(
-                    SolveTask(
-                        index=len(tasks),
-                        file_name=file.spec.name,
-                        source_hash=digest,
-                        config_name=config_name,
-                        spec=file.spec,
-                        pts_backend="set",
-                        repetitions=repetitions,
-                    )
-                )
-            meta.append((file, name, "reduce"))
-    return tasks, meta
-
-
-def reduce_pair_rows(
-    results: Sequence[TaskResult], meta: Sequence[PairMeta]
-) -> List[Dict]:
-    """Fold (reduce-off, reduce-on) result pairs into measurement rows.
-
-    Equivalence is checked on the *named* canonical form: reduction
-    merges pointer-equivalent registers, so the positional canonical
-    dict legitimately differs (merged registers carry their class
-    representative's widened solution) while every named memory
-    location must agree byte-for-byte.
-    """
-    rows: List[Dict] = []
-    for i, (file, name, group) in enumerate(meta):
-        off_result, on_result = results[2 * i], results[2 * i + 1]
-        off_named = Solution.from_canonical_dict(
-            off_result.solution, file.program
-        ).to_named_canonical()
-        on_named = Solution.from_canonical_dict(
-            on_result.solution, file.program
-        ).to_named_canonical()
-        if off_named != on_named:
-            raise AssertionError(
-                f"reduction changed the solution on {file.spec.name} / {name}"
-            )
-        on_stats = on_result.solution["stats"]
-        rows.append(
-            {
-                "file": file.spec.name,
-                "num_vars": file.program.num_vars,
-                "config": name,
-                "group": group,
-                "off_s": off_result.runtime_s,
-                "on_s": on_result.runtime_s,
-                "speedup": off_result.runtime_s / on_result.runtime_s,
-                "reduce_vars_merged": on_stats["reduce_vars_merged"],
-                "reduce_chains_collapsed": on_stats["reduce_chains_collapsed"],
-                "reduce_constraints_removed": on_stats[
-                    "reduce_constraints_removed"
-                ],
             }
         )
     return rows
@@ -320,31 +225,14 @@ def run_benchmark(
     print(f"  {len(tasks)} measurements in {time.time() - t0:.1f}s"
           f" ({driver_stats})")
 
-    t0 = time.time()
-    reduce_tasks, reduce_meta = build_reduce_tasks(
-        files, ctrl_configs, repetitions
-    )
-    reduce_results, reduce_driver_stats = solve_tasks(
-        reduce_tasks,
-        jobs=jobs,
-        cache=cache,
-        contexts=contexts,
-        registry=registry,
-        trace=trace,
-    )
-    measurements += reduce_pair_rows(reduce_results, reduce_meta)
-    print(f"  {len(reduce_tasks)} reduce measurements in"
-          f" {time.time() - t0:.1f}s ({reduce_driver_stats})")
-
     summary: Dict[str, Dict] = {}
-    for group in ("propagation", "sparse-control", "reduce"):
+    for group in ("propagation", "sparse-control"):
         speedups = [m["speedup"] for m in measurements if m["group"] == group]
         summary[group] = {
             "n": len(speedups),
             "speedup": distribution(speedups),
         }
     headline = summary["propagation"]["speedup"]["p50"]
-    reduce_median = summary["reduce"]["speedup"]["p50"]
     metrics = (
         registry.to_dict()
         if registry is not None and registry.enabled
@@ -366,16 +254,12 @@ def run_benchmark(
         "configs": {
             "propagation": prop_configs,
             "sparse-control": ctrl_configs,
-            "reduce": ctrl_configs,
         },
         "measurements": measurements,
         "summary": summary,
         "headline_median_speedup": headline,
         "speedup_target": SPEEDUP_TARGET,
         "target_met": headline >= SPEEDUP_TARGET,
-        "reduce_median_speedup": reduce_median,
-        "reduce_speedup_target": REDUCE_SPEEDUP_TARGET,
-        "reduce_target_met": reduce_median >= REDUCE_SPEEDUP_TARGET,
     }
     if metrics is not None:
         record["metrics"] = metrics
@@ -479,14 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f" — target {record['speedup_target']:.1f}x"
         f" {'MET' if record['target_met'] else 'NOT met'}"
     )
-    print(
-        f"reduce median (off/on, set backend):"
-        f" {record['reduce_median_speedup']:.2f}x"
-        f" — target {record['reduce_speedup_target']:.1f}x"
-        f" {'MET' if record['reduce_target_met'] else 'NOT met'}"
-    )
-    ok = record["target_met"] and record["reduce_median_speedup"] > 1.0
-    return 0 if ok else 1
+    return 0 if record["target_met"] else 1
 
 
 if __name__ == "__main__":

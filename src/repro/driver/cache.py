@@ -31,7 +31,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump to invalidate every existing entry (e.g. when the canonical
 #: solution encoding or the stats schema changes shape)
-CACHE_SCHEMA = 2  # 2: SolverStats grew the pair_evals counter
+# 2: SolverStats grew the pair_evals counter
+# 3: SolverStats lost the reduce_* and memo_* counters
+CACHE_SCHEMA = 3
 
 
 @dataclass

@@ -5,7 +5,7 @@ entirely: :func:`export_constraint_text` serialises any
 :class:`~repro.analysis.constraints.ConstraintProgram` as canonical
 (byte-sorted) LIR constraint text, and :func:`parse_constraint_text`
 reads such a file — ours or a third party's — back into a solvable
-program.  See ``docs/internals.md`` §16 for the grammar and the
+program.  See ``docs/internals.md`` §15 for the grammar and the
 round-trip oracle.
 """
 

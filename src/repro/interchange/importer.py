@@ -1,6 +1,6 @@
 """Importer: LIR constraint text → :class:`ConstraintProgram`.
 
-Two dialects share one grammar (``docs/internals.md`` §16):
+Two dialects share one grammar (``docs/internals.md`` §15):
 
 **Native** files carry the directive header our exporter writes
 (``.format``/``.program``/``.var``/``.symbol``/``.impfunc``/

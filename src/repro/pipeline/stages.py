@@ -64,7 +64,8 @@ STAGE_VERSIONS = {
     "link": "2",
     # 2: solution stats gained pair_evals
     # 3: reduce configuration axis; stats gained reduce_*/memo_* fields
-    "solve": "3",
+    # 4: reduce axis and operation memo removed; stats lost those fields
+    "solve": "4",
     # sharded cross-TU path (repro.shard): per-shard links and interior
     # merge-tree nodes, keyed separately from flat "link" entries
     "shardlink": "1",

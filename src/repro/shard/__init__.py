@@ -5,7 +5,7 @@ builds every TU's constraints and links them in one process.  At the
 paper's full Table III scale (thousands of TUs) that serialises the
 dominant frontend cost and holds every intermediate in one address
 space.  This package splits the path three ways (``docs/internals.md``
-§15):
+§14):
 
 - :mod:`repro.shard.plan` — a deterministic planner assigning TUs to K
   shards by *name* hash, so editing a TU's content never migrates it to

@@ -1,6 +1,6 @@
 """Sharded link execution: pool jobs, merge tree, cache plumbing.
 
-Execution plan for :func:`link_sharded` (``docs/internals.md`` §15):
+Execution plan for :func:`link_sharded` (``docs/internals.md`` §14):
 
 1. **Plan** — :func:`repro.shard.plan.plan_shards` assigns TUs to K
    slots by name hash; empty slots drop out, occupied slots become the

@@ -3,7 +3,7 @@
 For a fixed (client, oracle), the canonical report must be
 byte-identical across every axis that must not matter:
 
-- points-to backend (``set`` / ``bitset``) × reduce on/off,
+- points-to backend (``set`` / ``bitset``),
 - flat link vs sharded link at any ``--shards`` / ``--jobs``,
 - cold vs warm pipeline cache (and a fresh process over the same
   cache directory, modelled by a fresh ``Pipeline``).
@@ -27,20 +27,19 @@ def report_json(client, oracle, **kwargs):
     return run_audit(context, client, {"oracle": oracle}).to_json()
 
 
-class TestBackendReduceMatrix:
+class TestBackendMatrix:
     @pytest.mark.parametrize("client", audit_names())
     @pytest.mark.parametrize("oracle", ORACLES)
-    def test_backend_and_reduce_invariant(self, client, oracle):
-        reference = None
-        for pts in ("set", "bitset"):
-            for reduce_ in (False, True):
-                config = dataclasses.replace(
-                    DEFAULT_CONFIGURATION, pts=pts, reduce=reduce_
-                )
-                got = report_json(client, oracle, config=config)
-                if reference is None:
-                    reference = got
-                assert got == reference, f"{client}/{oracle}/{pts}/reduce={reduce_}"
+    def test_backend_invariant(self, client, oracle):
+        reports = {
+            pts: report_json(
+                client,
+                oracle,
+                config=dataclasses.replace(DEFAULT_CONFIGURATION, pts=pts),
+            )
+            for pts in ("set", "bitset")
+        }
+        assert reports["bitset"] == reports["set"], f"{client}/{oracle}"
 
 
 class TestShardingJobsInvariance:

@@ -61,7 +61,7 @@ class TestRunBenchmark:
         assert record["params"]["min_vars"] == 1
         assert record["measurements"]
         groups = {m["group"] for m in record["measurements"]}
-        assert groups == {"propagation", "sparse-control", "reduce"}
+        assert groups == {"propagation", "sparse-control"}
         for group in groups:
             assert record["summary"][group]["n"] > 0
             assert "p50" in record["summary"][group]["speedup"]
@@ -70,22 +70,6 @@ class TestRunBenchmark:
         )
         assert record["target_met"] == (
             record["headline_median_speedup"] >= record["speedup_target"]
-        )
-        for row in record["measurements"]:
-            if row["group"] != "reduce":
-                continue
-            assert row["off_s"] > 0 and row["on_s"] > 0
-            assert row["speedup"] == pytest.approx(
-                row["off_s"] / row["on_s"]
-            )
-            assert row["reduce_vars_merged"] > 0
-            assert row["reduce_constraints_removed"] > 0
-        assert record["reduce_median_speedup"] == (
-            record["summary"]["reduce"]["speedup"]["p50"]
-        )
-        assert record["reduce_target_met"] == (
-            record["reduce_median_speedup"]
-            >= record["reduce_speedup_target"]
         )
 
     def test_unreachable_min_vars_rejected(self):

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from repro.analysis import parse_name, run_configuration
-from repro.analysis.solution import Solution
+from repro.analysis.solution import Solution, SolverStats
 from repro.analysis.testing import random_program
 from repro.driver import (
     ResultCache,
@@ -142,24 +142,26 @@ class TestCacheBehaviour:
             assert not result.from_cache
             assert cache.stats.hits == 0 and cache.stats.misses == 1
 
-    def test_reduce_flip_is_a_miss_never_a_stale_hit(self, tmp_path):
-        """Regression lock for the ``reduce`` configuration axis: a
-        cached reduce-off result must not satisfy the reduce-on task
-        (or vice versa) — their work profiles differ even though the
-        solutions agree."""
-        self.solve(make_task(), ResultCache(tmp_path))
+    def test_stale_memo_stats_entry_is_a_miss(self, tmp_path):
+        """An entry as written before the operation memo was removed
+        (schema 2, stats carrying ``memo_hits``) re-solves instead of
+        replaying stats that ``SolverStats.from_dict`` would reject."""
+        task = make_task()
+        cold, _ = self.solve(task, ResultCache(tmp_path))
+        path = ResultCache(tmp_path)._path(task.cache_key())
+        entry = json.loads(path.read_text())
+        entry["schema"] = 2
+        entry["solution"]["stats"].update(memo_hits=3, memo_misses=5)
+        path.write_text(json.dumps(entry))
+
         cache = ResultCache(tmp_path)
-        on, _ = self.solve(make_task(config="IP+Reduce+WL(FIFO)"), cache)
-        assert not on.from_cache
-        assert cache.stats.hits == 0 and cache.stats.misses == 1
-        # Both entries now coexist and warm-replay independently.
-        warm_off, _ = self.solve(make_task(), ResultCache(tmp_path))
-        warm_on, _ = self.solve(
-            make_task(config="IP+Reduce+WL(FIFO)"), ResultCache(tmp_path)
-        )
-        assert warm_off.from_cache and warm_on.from_cache
-        for key in ("points_to", "external"):
-            assert warm_on.solution[key] == warm_off.solution[key]
+        again, _ = self.solve(task, cache)
+        assert not again.from_cache
+        assert (cache.stats.corrupted, cache.stats.misses) == (1, 1)
+        assert again.solution == cold.solution
+        warm, _ = self.solve(task, ResultCache(tmp_path))
+        assert warm.from_cache
+        SolverStats.from_dict(warm.solution["stats"])
 
     @pytest.mark.parametrize(
         "garbage",

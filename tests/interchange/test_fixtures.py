@@ -18,7 +18,7 @@ from repro.interchange import export_constraint_text, parse_constraint_text
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-CONFIGS = ["IP+WL(LRF)+PIP", "IP+Reduce+WL(FIFO)+PIP+PTS(bitset)", "EP+WL(LRF)"]
+CONFIGS = ["IP+WL(LRF)+PIP", "IP+WL(FIFO)+PIP+PTS(bitset)", "EP+WL(LRF)"]
 
 
 def solve(name, config="IP+WL(LRF)+PIP"):

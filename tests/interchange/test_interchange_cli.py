@@ -91,7 +91,7 @@ class TestConstraintsSolve:
         entry = json.loads(solved.read_text())["results"][0]
         assert entry["solution"] == linked_solution
 
-    def test_backend_reduce_jobs_agree(self, tu_pair, tmp_path, capsys):
+    def test_backend_jobs_agree(self, tu_pair, tmp_path, capsys):
         lir = tmp_path / "joint.lir"
         assert main(
             ["constraints", "export", *tu_pair, "--out", str(lir)]
@@ -105,7 +105,7 @@ class TestConstraintsSolve:
             self.solve([str(lir), "--backend", "bitset"], capsys)
         ) == base
         assert digest(
-            self.solve([str(lir), "--reduce", "--jobs", "2"], capsys)
+            self.solve([str(lir), "--jobs", "2"], capsys)
         ) == base
 
     def test_show_solution(self, tu_pair, tmp_path, capsys):

@@ -4,8 +4,8 @@ Exporting any IP-form :class:`ConstraintProgram` and re-importing the
 text must rebuild a program with the identical construction-order
 canonical digest, and solving the re-import must reproduce the named
 canonical solution byte-for-byte — across real frontend output (single
-TUs and linked joint programs), synthetic random programs, both
-points-to-set backends and the Reduce axis.
+TUs and linked joint programs), synthetic random programs and both
+points-to-set backends.
 """
 
 import json
@@ -28,12 +28,10 @@ CORPUS = sorted(
     (pathlib.Path(__file__).parents[2] / "examples" / "corpus").glob("*.c")
 )
 
-#: backend × reduce matrix the oracle is locked across
+#: backend matrix the oracle is locked across
 CONFIGS = [
     "IP+WL(LRF)+PIP",
-    "IP+Reduce+WL(LRF)+PIP",
     "IP+WL(LRF)+PIP+PTS(bitset)",
-    "IP+Reduce+WL(LRF)+PIP+PTS(bitset)",
     "EP+WL(LRF)",
 ]
 

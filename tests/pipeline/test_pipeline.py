@@ -1,6 +1,5 @@
 """Tests for the staged pipeline and its stage-granular cache."""
 
-import dataclasses
 import json
 
 import pytest
@@ -59,27 +58,24 @@ class TestStageCaching:
         for key in ("points_to", "external"):
             assert again.solution[key] == art.solution[key]
 
-    def test_reduce_flip_is_a_solve_miss(self, cache):
-        """Flipping only the ``reduce`` axis re-solves (the stage key
-        carries the axis) while everything upstream stays cached, and
-        both entries then coexist."""
-        Pipeline(cache=cache).analyze_source("a.c", SRC_A, CONFIG)
+    def test_stale_memo_stats_entry_is_a_miss(self, cache):
+        """A solve entry as written before the operation memo was
+        removed (schema 2, stats carrying ``memo_hits``) re-solves and
+        never reaches ``SolverStats.from_dict``, which would reject it."""
+        art = Pipeline(cache=cache).analyze_source("a.c", SRC_A, CONFIG)
+        path = cache._stage_path("solve", art.key)
+        entry = json.loads(path.read_text())
+        entry["schema"] = 2
+        entry["payload"]["solution"]["stats"].update(memo_hits=3, memo_misses=5)
+        path.write_text(json.dumps(entry))
 
         p2 = Pipeline(cache=ResultCache(cache.root))
-        reduced = dataclasses.replace(CONFIG, reduce=True)
-        art = p2.analyze_source("a.c", SRC_A, reduced)
-        assert p2.stats["parse"].runs == 0
-        assert p2.stats["constraints"].hits == 1
+        again = p2.analyze_source("a.c", SRC_A, CONFIG)
         assert p2.stats["solve"].misses == 1
-        assert not art.from_cache
-        # Reduction is invisible in the answer: warm replays of both
-        # axes agree on the canonical solution.
-        p3 = Pipeline(cache=ResultCache(cache.root))
-        off = p3.analyze_source("a.c", SRC_A, CONFIG)
-        on = p3.analyze_source("a.c", SRC_A, reduced)
-        assert p3.stats["solve"].hits == 2
-        for key in ("points_to", "external"):
-            assert on.solution[key] == off.solution[key]
+        assert p2.stats["solve"].runs == 1
+        assert not again.from_cache
+        assert again.solution == art.solution
+        again.attach(p2.constraints(p2.source("a.c", SRC_A)).program)
 
     def test_one_file_edit_rebuilds_only_that_member(self, cache):
         p1 = Pipeline(cache=cache)

@@ -169,6 +169,21 @@ class TestValidation:
         with pytest.raises(StateError, match="configuration"):
             load_project(path, config=parse_name("EP+WL(FIFO)"))
 
+    def test_removed_reduce_config_rejected(self, tmp_path):
+        """A state file persisted under the removed ``Reduce`` axis is
+        refused even when its digest is intact."""
+        from repro.serve.state import _payload_digest
+
+        path = save_project(tmp_path, "p1", built_project())
+
+        def mutate(payload):
+            payload["config"] = "IP+Reduce+WL(FIFO)"
+            payload["digest"] = _payload_digest(payload)
+
+        rewrite(path, mutate)
+        with pytest.raises(StateError, match="bad config"):
+            load_project(path)
+
     def test_options_mismatch_rejected(self, tmp_path):
         path = save_project(tmp_path, "p1", built_project())
         with pytest.raises(StateError, match="link options"):

@@ -274,6 +274,22 @@ class TestVersionAndDiagnostics:
         [line] = [l for l in captured.err.splitlines() if l]
         assert line.startswith("repro: error: broken.c:2: ")
 
+    @pytest.mark.parametrize("name", ["IP+Bogus+WL(FIFO)", "IP+Reduce+WL(FIFO)"])
+    def test_bad_config_is_a_usage_error(self, cfile, capsys, name):
+        for command in (
+            ["analyze", cfile],
+            ["link", cfile],
+            ["audit", "escape", cfile],
+            ["constraints", "solve", cfile],
+            ["serve", cfile],
+        ):
+            assert main([*command, "--config", name]) == 2, command
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            [line] = [l for l in err.splitlines() if l]
+            assert line.startswith("repro: error: "), command
+            assert "'Reduce'" in line or "'Bogus'" in line
+
     def test_sema_error_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "sema.c"
         path.write_text("int f(void) { return undeclared_name; }\n")
