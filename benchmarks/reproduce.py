@@ -25,7 +25,7 @@ import pathlib
 import sys
 import time
 
-from repro.driver import ResultCache
+from repro.driver.cache import cache_from_args
 
 from repro.bench import (
     EP_ORACLE_CONFIGS,
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         repetitions=args.repetitions,
         pts_backend=args.pts_backend,
         jobs=args.jobs,
-        cache=ResultCache(args.cache_dir) if args.cache else None,
+        cache=cache_from_args(args),
     )
     print(f"  done in {time.time() - t0:.0f}s ({results.driver})")
     write("configuration-runtimes-table.txt", table5(results))

@@ -75,6 +75,7 @@ from .analysis import (
     enumerate_configurations,
     parse_name,
 )
+from .driver.cache import cache_from_args, write_text_atomic
 from .frontend import FRONTEND_ERRORS, compile_c, describe_error
 from .ir import print_module
 
@@ -100,32 +101,6 @@ def _add_obs_options(parser) -> None:
         "--trace-out", type=pathlib.Path, default=None,
         help="write JSONL trace events here (implies --profile)",
     )
-
-
-def _write_text_atomic(path: pathlib.Path, text: str) -> None:
-    """Write ``text`` to ``path`` without ever exposing a partial file.
-
-    Same-directory temp file + ``os.replace`` (the ResultCache idiom):
-    a failure mid-write — full disk, permissions — leaves nothing under
-    the requested name, and the temp file is unlinked on the way out.
-    """
-    import os
-    import tempfile
-
-    path = pathlib.Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _load_module(path: str, headers_dir: Optional[str]):
@@ -177,8 +152,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .driver import (
-        FileContext,
-        ResultCache,
         SolveTask,
         solve_tasks,
         source_digest,
@@ -213,25 +186,20 @@ def cmd_sweep(args) -> int:
         )
         for i, name in enumerate(names)
     ]
-    contexts = None
+    programs = None
     if args.jobs <= 1:
         # Reuse the richer header-aware front end for the local path;
-        # workers compile the raw source themselves.
+        # workers build the raw source through the pipeline.
         module = _load_module(args.file, args.include)
-        built = build_constraints(module)
-        contexts = {digest: FileContext(path.name, digest, built.program)}
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+        programs = {digest: build_constraints(module).program}
+    cache = cache_from_args(args)
     registry, trace = _obs_setup(args)
     try:
         results, stats = solve_tasks(
             tasks,
             jobs=args.jobs,
             cache=cache,
-            contexts=contexts,
+            programs=programs,
             registry=registry,
             trace=trace,
         )
@@ -265,7 +233,6 @@ def cmd_link(args) -> int:
     import json
 
     from .bench.ladder import format_table, ladder_over_members
-    from .driver import ResultCache
     from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
@@ -274,11 +241,7 @@ def cmd_link(args) -> int:
         internalize=args.internalize,
         keep=tuple(args.keep.split(",")) if args.keep else ("main",),
     )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = cache_from_args(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
 
@@ -414,7 +377,7 @@ def cmd_link(args) -> int:
             }
         if ladder_rungs is not None:
             report["ladder"] = ladder_rungs
-        _write_text_atomic(
+        write_text_atomic(
             args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"\nwrote {args.out}")
@@ -433,7 +396,6 @@ def cmd_audit(args) -> int:
         render_report_evidence,
         render_report_table,
     )
-    from .driver import ResultCache
     from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
@@ -444,11 +406,7 @@ def cmd_audit(args) -> int:
         internalize=args.internalize,
         keep=tuple(args.keep.split(",")) if args.keep else ("main",),
     )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = cache_from_args(args)
     if args.client not in audit_names():
         print(
             f"repro: error: unknown audit client {args.client!r}"
@@ -560,7 +518,7 @@ def cmd_audit(args) -> int:
             sys.stdout.write("\nevidence:\n")
             sys.stdout.write(render_report_evidence(report))
     if args.out is not None:
-        _write_text_atomic(
+        write_text_atomic(
             args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {args.out}")
@@ -570,16 +528,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_constraints_export(args) -> int:
-    from .driver import ResultCache
     from .interchange import export_constraint_text
     from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = cache_from_args(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
     sources = [
@@ -645,7 +598,7 @@ def cmd_constraints_export(args) -> int:
         trace.emit("metrics", "constraints-export", registry.to_dict())
         trace.close()
     if args.out is not None:
-        _write_text_atomic(args.out, text)
+        write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -658,18 +611,11 @@ def cmd_constraints_solve(args) -> int:
     import json
 
     from .analysis.solution import Solution
-    from .driver import (
-        FileContext,
-        ResultCache,
-        SolveTask,
-        solve_tasks,
-        source_digest,
-    )
+    from .driver import SolveTask, solve_tasks, source_digest
     from .interchange import parse_constraint_text
 
     config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
     tasks = []
-    contexts = {}
     programs = {}
     for i, f in enumerate(args.files):
         path = pathlib.Path(f)
@@ -680,9 +626,6 @@ def cmd_constraints_solve(args) -> int:
             # malformed text diagnoses here, file name attached, before
             # any pool spins up.
             programs[digest] = parse_constraint_text(text, path.name)
-            contexts[digest] = FileContext(
-                path.name, digest, programs[digest]
-            )
         tasks.append(
             SolveTask(
                 index=i,
@@ -695,18 +638,14 @@ def cmd_constraints_solve(args) -> int:
                 source_kind="lir",
             )
         )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = cache_from_args(args)
     registry, trace = _obs_setup(args)
     try:
         results, stats = solve_tasks(
             tasks,
             jobs=args.jobs,
             cache=cache,
-            contexts=contexts if args.jobs <= 1 else None,
+            programs=programs,
             registry=registry,
             trace=trace,
         )
@@ -747,7 +686,7 @@ def cmd_constraints_solve(args) -> int:
         report = {"schema": 1, "config": config.name, "results": entries}
         if registry is not None:
             report["metrics"] = registry.to_dict()
-        _write_text_atomic(
+        write_text_atomic(
             args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {args.out}")
@@ -765,7 +704,6 @@ def _read_project_files(paths) -> dict:
 
 def _serve_components(args):
     """(project, server, trace) shared by ``serve`` and ``query``."""
-    from .driver import ResultCache
     from .link import LinkOptions
     from .serve import DEFAULT_MAX_REQUEST_BYTES, AnalysisServer, Project
 
@@ -774,11 +712,7 @@ def _serve_components(args):
         internalize=args.internalize,
         keep=tuple(args.keep.split(",")) if args.keep else ("main",),
     )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = cache_from_args(args)
     registry, trace = _obs_setup(args)
     project = Project(config, options, cache=cache, registry=registry)
     server = AnalysisServer(

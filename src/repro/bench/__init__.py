@@ -23,7 +23,7 @@ from .runner import (
     TABLE6_CONFIGS,
     FileRun,
     RunResults,
-    build_contexts,
+    build_programs,
     build_tasks,
     run_experiment,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "time_callable",
     "FileRun",
     "RunResults",
-    "build_contexts",
+    "build_programs",
     "build_tasks",
     "run_experiment",
     "TABLE5_CONFIGS",

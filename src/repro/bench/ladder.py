@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.config import Configuration
 from ..analysis.omega import OMEGA, concretize
-from ..driver.cache import ResultCache
+from ..driver.cache import ResultCache, cache_from_args
 from ..pipeline import ConstraintsArtifact, Pipeline
 from .corpus import ProgramSpec, generate_c_source, plan_program
 
@@ -217,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         static_fraction=args.static_fraction,
     )
     config = parse_name(args.config)
-    cache = ResultCache(args.cache_dir) if args.cache else None
+    cache = cache_from_args(args)
     report = run_ladder(spec, config, cache=cache)
 
     print(f"program {report['program']}, configuration {report['config']}")

@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..analysis.constraints import ConstraintProgram
 from ..driver import (
     DriverStats,
-    FileContext,
     ResultCache,
     SolveTask,
     TaskResult,
@@ -148,10 +148,8 @@ def build_tasks(
 ) -> List[SolveTask]:
     """The (file, configuration) task list in canonical file-major order.
 
-    Tasks carry the corpus :class:`FileSpec` (not the built program), so
-    worker processes re-derive phase-1 state themselves; the in-process
-    path is seeded with the already-built programs via
-    :func:`build_contexts`.
+    Tasks carry the corpus :class:`FileSpec` (not the built program);
+    :func:`build_programs` hands the driver the already-built programs.
     """
     tasks: List[SolveTask] = []
     for file in files:
@@ -172,17 +170,12 @@ def build_tasks(
     return tasks
 
 
-def build_contexts(files: Sequence[CorpusFile]) -> Dict[str, FileContext]:
-    """Seed driver contexts from already-built corpus files (jobs=1)."""
-    contexts: Dict[str, FileContext] = {}
-    for file in files:
-        context = FileContext(
-            file.spec.name, source_digest(file.source), file.program
-        )
-        if file._ep_program is not None:
-            context.seed_ep(file._ep_program)
-        contexts[context.source_hash] = context
-    return contexts
+def build_programs(
+    files: Sequence[CorpusFile],
+) -> Dict[str, ConstraintProgram]:
+    """The built corpus files' programs, keyed by source hash, for
+    :func:`repro.driver.solve_tasks`."""
+    return {source_digest(file.source): file.program for file in files}
 
 
 def run_experiment(
@@ -217,12 +210,11 @@ def run_experiment(
     tasks = build_tasks(
         files, config_names, repetitions, pts_backend, timing
     )
-    contexts = build_contexts(files) if jobs == 1 else None
     task_results, driver_stats = solve_tasks(
         tasks,
         jobs=jobs,
         cache=cache,
-        contexts=contexts,
+        programs=build_programs(files),
         registry=registry,
         trace=trace,
     )
@@ -256,6 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import pathlib
     import time
 
+    from ..driver.cache import cache_from_args
     from .report import table5, table6
     from .suite import build_corpus, flatten
 
@@ -330,11 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     files = flatten(corpus)
     print(f"corpus: {len(files)} files built in {time.time() - t0:.0f}s")
 
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = cache_from_args(args)
     profiling = args.profile or args.trace_out is not None
     registry = Registry() if profiling else None
     trace = (

@@ -44,8 +44,9 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..driver import ResultCache, SolveTask, TaskResult, solve_tasks, source_digest
+from ..driver.cache import cache_from_args
 from ..obs import Registry, TraceWriter
-from .runner import build_contexts
+from .runner import build_programs
 from .suite import CorpusFile, build_corpus, flatten
 from .timing import distribution
 
@@ -155,7 +156,7 @@ def measure_file(
     tasks, meta = build_backend_tasks(
         [file], [(group, config_names)], repetitions
     )
-    results, _ = solve_tasks(tasks, jobs=1, contexts=build_contexts([file]))
+    results, _ = solve_tasks(tasks, jobs=1, programs=build_programs([file]))
     return pair_rows(results, meta)
 
 
@@ -212,12 +213,11 @@ def run_benchmark(
         [("propagation", prop_configs), ("sparse-control", ctrl_configs)],
         repetitions,
     )
-    contexts = build_contexts(files) if jobs == 1 else None
     results, driver_stats = solve_tasks(
         tasks,
         jobs=jobs,
         cache=cache,
-        contexts=contexts,
+        programs=build_programs(files),
         registry=registry,
         trace=trace,
     )
@@ -339,7 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             repetitions=repetitions,
             quick=args.quick,
             jobs=args.jobs,
-            cache=ResultCache(args.cache_dir) if args.cache else None,
+            cache=cache_from_args(args),
             registry=registry,
             trace=trace,
         )

@@ -3,20 +3,17 @@
 Fans (file, configuration) solve tasks out over a process pool with
 deterministic result merging, backed by an on-disk result cache under
 ``.repro-cache/`` keyed by (file content hash, configuration cache key,
-timing mode).  See ``docs/internals.md`` §9 for the architecture.
+timing mode).  See ``docs/internals.md`` §8 for the architecture.
 """
 
 from .cache import CACHE_SCHEMA, DEFAULT_CACHE_DIR, CacheStats, ResultCache
 from .pool import DriverStats, default_jobs, solve_tasks, validate_agreement
 from .tasks import (
     TIMING_MODES,
-    FileContext,
     SolveTask,
     TaskResult,
-    context_for,
     cost_runtime,
     execute_task,
-    reset_contexts,
     source_digest,
 )
 
@@ -30,12 +27,9 @@ __all__ = [
     "solve_tasks",
     "validate_agreement",
     "TIMING_MODES",
-    "FileContext",
     "SolveTask",
     "TaskResult",
-    "context_for",
     "cost_runtime",
     "execute_task",
-    "reset_contexts",
     "source_digest",
 ]

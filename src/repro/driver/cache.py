@@ -11,8 +11,9 @@ measurements without a single solver invocation.
 The cache is *self-healing*: an entry that cannot be parsed, has a
 different schema version, or fails the sanity checks is deleted and
 counted in :attr:`CacheStats.corrupted` — the task is simply re-solved.
-Writes go through a same-directory temp file + ``os.replace`` so a
-killed process never leaves a truncated entry behind.
+Writes go through :func:`write_text_atomic` (a same-directory temp
+file + ``os.replace``), so a killed process never leaves a truncated
+entry behind.
 """
 
 from __future__ import annotations
@@ -28,6 +29,41 @@ from .tasks import SolveTask, TaskResult
 
 #: default cache location, relative to the working directory
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def write_text_atomic(path: os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` without ever exposing a partial file.
+
+    Same-directory temp file + ``os.replace``: a failure mid-write —
+    full disk, permissions, a kill — leaves nothing under the requested
+    name, and the temp file is unlinked on the way out.
+    """
+    path = pathlib.Path(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def cache_from_args(args) -> Optional["ResultCache"]:
+    """The cache a CLI's ``--cache``/``--cache-dir`` options ask for
+    (bounded by ``--cache-max-entries`` where the CLI has it), or None
+    under ``--no-cache``."""
+    if not args.cache:
+        return None
+    return ResultCache(
+        args.cache_dir, max_entries=getattr(args, "cache_max_entries", None)
+    )
+
 
 #: bump to invalidate every existing entry (e.g. when the canonical
 #: solution encoding or the stats schema changes shape)
@@ -218,20 +254,9 @@ class ResultCache:
         path = self._stage_path(stage, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"schema": CACHE_SCHEMA, "stage": stage, "payload": payload}
-        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
+        write_text_atomic(
+            path, json.dumps(entry, sort_keys=True, separators=(",", ":"))
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
         stats = self.stats_for(stage)
         stats.stores += 1
         self._prune(self.root / "stages" / stage, path, stats)
@@ -290,19 +315,8 @@ class ResultCache:
             "runtime_s": result.runtime_s,
             "solution": result.solution,
         }
-        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
+        write_text_atomic(
+            path, json.dumps(entry, sort_keys=True, separators=(",", ":"))
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
         self.stats.stores += 1
         self._prune(self.root / "solve", path, self.stats)

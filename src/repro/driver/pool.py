@@ -2,22 +2,24 @@
 
 :func:`solve_tasks` is the single entry point every harness goes
 through (``repro.bench.runner``, ``repro.bench.solverbench``, the
-``sweep`` CLI):
+``sweep`` and ``constraints solve`` CLIs):
 
 1. Look every task up in the on-disk cache (when enabled) — warm tasks
    never reach a worker, let alone a solver.
 2. Coalesce tasks that share a cache identity (solve once, replicate),
-   then run the remainder either in-process (``jobs=1`` — bit-identical
-   to the historical serial loop) or on a ``multiprocessing`` pool.
+   then run the remainder on the :class:`Executor` — in-process for
+   ``jobs=1``, else on a ``multiprocessing`` pool.
 3. Merge results **by task index**: the returned list is ordered by
    submission order regardless of which worker finished first, so a
    ``--jobs 8`` run reports byte-identically to ``--jobs 1``.
 
-Workers receive only compact :class:`repro.driver.tasks.SolveTask`
-objects and re-derive constraint programs locally (memoised per file
-content hash), because solver state — interned frozensets, pts backend
-objects, union-find structures — is deliberately not sent across the
-process boundary.
+The :class:`Executor` is also the pool :func:`repro.shard.link_sharded`
+runs its shard links and merges on.  Workers receive only compact,
+picklable jobs and build everything heavyweight themselves through
+:class:`repro.pipeline.Pipeline` stages over the run's cache, which
+each worker reopens (see :class:`Worker`), because solver state
+(interned frozensets, pts backend objects, union-find structures) is
+deliberately not sent across the process boundary.
 """
 
 from __future__ import annotations
@@ -25,19 +27,14 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.constraints import ConstraintProgram
 from ..obs import Registry, TraceWriter, record_solver_stats
 from .cache import CacheStats, ResultCache
-from .tasks import (
-    FileContext,
-    SolveTask,
-    TaskResult,
-    context_for,
-    execute_task,
-    reset_contexts,
-)
+from .tasks import SolveTask, TaskResult, execute_task
 
 
 @dataclass
@@ -47,6 +44,8 @@ class DriverStats:
     jobs: int = 1
     tasks: int = 0
     solved: int = 0  # tasks that actually invoked a solver
+    #: this call's own task-store counters (not the cache's running
+    #: totals, which span every call sharing the cache)
     cache: Optional[CacheStats] = None
 
     def to_dict(self) -> Dict:
@@ -94,21 +93,116 @@ def _pool_context(
     return multiprocessing.get_context()  # pragma: no cover - exotic platform
 
 
-def _init_worker() -> None:
-    """Pool initializer: start every worker with an empty FileContext
-    memo.  Under spawn the module is re-imported fresh anyway; under
-    fork the worker would otherwise inherit whatever the parent process
-    had memoised, making worker behaviour depend on the start method
-    (and on parent history).  Resetting here makes both methods solve
-    from identical state."""
-    reset_contexts()
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Worker:
+    """What every job runs against in its process: the run's cache
+    (``None``: uncached) and the caller's prebuilt constraint programs,
+    keyed by source hash."""
+
+    cache: Optional[ResultCache] = None
+    programs: Dict[str, ConstraintProgram] = field(default_factory=dict)
+
+
+#: this pool worker's :class:`Worker`, set by :func:`_init_worker`
+_worker: Optional[Worker] = None
+
+
+def _init_worker(
+    cache_root: Optional[str],
+    max_entries: Optional[int],
+    programs: Dict[str, ConstraintProgram],
+) -> None:
+    """Pool initializer: reopen the run's cache — bound included — in
+    this process."""
+    global _worker
+    cache = (
+        ResultCache(cache_root, max_entries=max_entries)
+        if cache_root is not None
+        else None
+    )
+    _worker = Worker(cache, programs)
+
+
+def _run_in_worker(fn: Callable, job):
+    return fn(job, _worker)
+
+
+class Executor:
+    """Runs batches of jobs serially or on one shared process pool.
+
+    :meth:`map` calls ``fn(job, worker)`` for every job of a batch and
+    returns the results in batch order; jobs and results both carry a
+    unique ``index``.  With ``jobs == 1`` (or a one-job batch) it runs
+    in-process against a :class:`Worker` that shares ``cache`` itself.
+    Otherwise the first batch starts a pool (``fork`` preferred, see
+    :func:`_pool_context`) whose workers reopen the cache from its root
+    and ``max_entries``, and ``programs`` reach them through the pool
+    initializer.  ``fn`` must be a module-level function: it travels to
+    the workers by name.
+    """
+
+    def __init__(
+        self,
+        jobs: int = 1,
+        cache: Optional[ResultCache] = None,
+        programs: Optional[Dict[str, ConstraintProgram]] = None,
+        start_method: Optional[str] = None,
+    ) -> None:
+        self.jobs = max(1, jobs)
+        self._start_method = start_method
+        self._local = Worker(cache, programs or {})
+        self._pool = None
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+
+    def map(self, fn: Callable, batch: Sequence) -> List:
+        if self.jobs == 1 or len(batch) <= 1:
+            return [fn(job, self._local) for job in batch]
+        if self._pool is None:
+            cache = self._local.cache
+            self._pool = _pool_context(self._start_method).Pool(
+                processes=min(self.jobs, len(batch)),
+                initializer=_init_worker,
+                initargs=(
+                    None if cache is None else str(cache.root),
+                    None if cache is None else cache.max_entries,
+                    self._local.programs,
+                ),
+            )
+        # imap_unordered keeps every worker busy (none idles waiting
+        # for an in-order neighbour); chunk size 1 keeps the longest
+        # stragglers from pinning queued jobs behind them.  Determinism
+        # is restored by re-keying on the job index.
+        by_index = {
+            result.index: result
+            for result in self._pool.imap_unordered(
+                partial(_run_in_worker, fn), batch, chunksize=1
+            )
+        }
+        return [by_index[job.index] for job in batch]
+
+
+# ----------------------------------------------------------------------
+# Solving tasks
+# ----------------------------------------------------------------------
 
 
 def solve_tasks(
     tasks: Sequence[SolveTask],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    contexts: Optional[Dict[str, FileContext]] = None,
+    programs: Optional[Dict[str, ConstraintProgram]] = None,
     progress: Optional[Callable[[TaskResult], None]] = None,
     registry: Optional[Registry] = None,
     trace: Optional[TraceWriter] = None,
@@ -116,10 +210,10 @@ def solve_tasks(
 ) -> Tuple[List[TaskResult], DriverStats]:
     """Execute ``tasks``, returning results ordered by task index.
 
-    ``contexts`` optionally seeds the in-process derived-state memo with
-    constraint programs the caller already built (source hash →
-    :class:`FileContext`); it only applies to the ``jobs=1`` path —
-    worker processes always re-derive their own.  ``progress`` is called
+    ``programs`` maps source hashes to constraint programs the caller
+    already built, so no process builds them again; every other task
+    builds its program through the pipeline over the run's cache (see
+    :func:`repro.driver.tasks.task_program`).  ``progress`` is called
     once per completed task, in completion order.
 
     An enabled ``registry`` turns on per-task profiling: every solved
@@ -137,25 +231,19 @@ def solve_tasks(
     stats = DriverStats(jobs=jobs, tasks=len(tasks))
     results: Dict[int, TaskResult] = {}
     profiling = registry is not None and registry.enabled
-    if profiling:
-        # Delta-snapshot the cache counters: the same ResultCache object
-        # is commonly reused across solve_tasks calls, and this call
-        # must only account for its own hits/misses.
-        cache_before = cache.stats.to_dict() if cache is not None else None
+    # The same ResultCache is commonly reused across calls: snapshot its
+    # counters so this call reports only its own hits/misses.
+    cache_before = cache.stats.to_dict() if cache is not None else None
 
     pending: List[SolveTask] = []
-    if cache is not None:
-        stats.cache = cache.stats
-        for task in tasks:
-            hit = cache.load(task)
-            if hit is not None:
-                results[task.index] = hit
-                if progress is not None:
-                    progress(hit)
-            else:
-                pending.append(task)
-    else:
-        pending = tasks
+    for task in tasks:
+        hit = cache.load(task) if cache is not None else None
+        if hit is None:
+            pending.append(task)
+            continue
+        results[task.index] = hit
+        if progress is not None:
+            progress(hit)
     if profiling:
         # Replay tasks with profiling on so workers build a registry.
         # ``profile`` is not part of the cache identity, so this cannot
@@ -186,10 +274,9 @@ def solve_tasks(
     stats.solved = len(unique)
     coalesced = sum(len(v) for v in duplicates.values())
     if unique:
-        if jobs == 1:
-            completed = _run_serial(unique, contexts or {})
-        else:
-            completed = _run_pool(unique, jobs, start_method)
+        with Executor(jobs, cache, programs, start_method) as executor:
+            # The module-global execute_task, looked up at call time.
+            completed = executor.map(execute_task, unique)
         for task, key, result in zip(unique, unique_keys, completed):
             if cache is not None:
                 cache.store(task, result)
@@ -209,15 +296,19 @@ def solve_tasks(
                 if progress is not None:
                     progress(echo)
 
+    if cache is not None:
+        after = cache.stats.to_dict()
+        stats.cache = CacheStats(
+            **{field: n - cache_before[field] for field, n in after.items()}
+        )
     ordered = [results[t.index] for t in tasks]
     if profiling:
         registry.add("driver.tasks", len(tasks))
         registry.add("driver.solved", stats.solved)
         registry.add("driver.coalesced", coalesced)
-        if cache is not None:
-            after = cache.stats.to_dict()
-            for field, n in after.items():
-                registry.add(f"driver.cache.{field}", n - cache_before[field])
+        if stats.cache is not None:
+            for field, n in stats.cache.to_dict().items():
+                registry.add(f"driver.cache.{field}", n)
         # Index-order merge: every worker's registry lands in the same
         # place no matter which process solved it or when it finished.
         # Cache hits and coalesced echoes carry no worker registry —
@@ -241,41 +332,6 @@ def solve_tasks(
                 },
             )
     return ordered, stats
-
-
-def _run_serial(
-    tasks: Sequence[SolveTask], contexts: Dict[str, FileContext]
-) -> List[TaskResult]:
-    """In-process execution (the historical serial path, unchanged)."""
-    out: List[TaskResult] = []
-    for task in tasks:
-        context = contexts.get(task.source_hash)
-        if context is None:
-            context = context_for(task)
-            contexts[task.source_hash] = context
-        out.append(execute_task(task, context))
-    return out
-
-
-def _run_pool(
-    tasks: Sequence[SolveTask],
-    jobs: int,
-    start_method: Optional[str] = None,
-) -> List[TaskResult]:
-    """Fan out over a process pool; reorder to submission order.
-
-    ``imap_unordered`` maximises throughput (a worker never idles
-    waiting for an in-order neighbour); determinism is restored by
-    re-keying the completed results on the task index.  Chunk size 1
-    keeps the longest-solve stragglers from pinning a whole chunk of
-    queued tasks behind them.
-    """
-    ctx = _pool_context(start_method)
-    workers = min(jobs, len(tasks))
-    with ctx.Pool(processes=workers, initializer=_init_worker) as pool:
-        unordered = list(pool.imap_unordered(execute_task, tasks, chunksize=1))
-    by_index = {r.index: r for r in unordered}
-    return [by_index[t.index] for t in tasks]
 
 
 # ----------------------------------------------------------------------

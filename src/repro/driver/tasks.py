@@ -1,11 +1,13 @@
 """Compact, picklable units of work for the parallel driver.
 
 A :class:`SolveTask` carries only primitives — a :class:`FileSpec`
-recipe (or raw C source), a configuration *name*, a backend name —
-never solver objects, interned frozensets or constraint programs.
-Worker processes re-derive everything heavyweight from the task via
-:func:`context_for`, memoising per file content hash so a worker that
-receives several configurations of the same file compiles it once.
+recipe (or raw C or LIR source), a configuration *name*, a backend
+name — never solver objects, interned frozensets or constraint
+programs.  Worker processes build the program through
+:class:`repro.pipeline.Pipeline` stages, whose ``constraints`` entries
+are shared with ``link``, serve and shard, so a worker (or a later run)
+that receives another configuration of the same file skips the front
+end.
 
 Task results travel back as :class:`TaskResult`, whose solution field is
 the canonical wire dict of :meth:`repro.analysis.solution.Solution.
@@ -20,17 +22,23 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..analysis.config import Configuration, parse_name, solve_prepared
+from ..analysis.config import (
+    Configuration,
+    parse_name,
+    prepare_program,
+    solve_prepared,
+)
 from ..analysis.constraints import ConstraintProgram
-from ..analysis.omega import lower_to_explicit
 from ..analysis.solution import Solution, SolverStats
+from ..obs import NULL_REGISTRY, Registry, record_solver_stats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bench.corpus import FileSpec
+    from .pool import Worker
 
-# NOTE: repro.bench modules are imported lazily inside functions —
-# repro.bench.runner builds on this module, so an eager import here
-# would be circular.
+# NOTE: repro.bench, repro.pipeline and repro.driver.pool are imported
+# lazily inside functions — all three build on this module, so an eager
+# import here would be circular.
 
 #: timing modes: ``wall`` measures best-of-N wall clock (the default,
 #: today's serial behaviour); ``cost`` derives a deterministic pseudo-
@@ -143,98 +151,54 @@ class TaskResult:
         return self.solution["stats"]["explicit_pointees"]
 
 
-class FileContext:
-    """Per-process derived state for one translation unit.
+def task_program(task: SolveTask, worker: "Worker") -> ConstraintProgram:
+    """``task``'s constraint program: the caller's prebuilt one for its
+    source, else a pipeline over the worker's cache builds it (or loads
+    its ``constraints``/``import`` stage entry).
 
-    Holds the phase-1 constraint program and lazily materialises the
-    EP twin (Ω made explicit).  These objects are exactly the
-    "unpicklable state" a worker re-derives instead of receiving over
-    the pipe: they reference interned frozensets and backend objects.
+    The pipeline is fresh per task, so a worker keeps no parse trees or
+    IR modules between tasks: retaining them in a long-lived pipeline
+    cost about 14% more CPU on a cold 47-file, 4-configuration sweep.
     """
+    from ..pipeline.stages import Pipeline
 
-    __slots__ = ("name", "source_hash", "program", "_ep")
+    program = worker.programs.get(task.source_hash)
+    if program is not None:
+        return program
+    source = task.source
+    if source is None:
+        from ..bench.corpus import generate_c_source
 
-    def __init__(
-        self, name: str, source_hash: str, program: ConstraintProgram
-    ) -> None:
-        self.name = name
-        self.source_hash = source_hash
-        self.program = program
-        self._ep: Optional[ConstraintProgram] = None
-
-    def prepared(self, config: Configuration) -> ConstraintProgram:
-        if config.representation == "EP":
-            if self._ep is None:
-                self._ep = lower_to_explicit(self.program)
-            return self._ep
-        return self.program
-
-    def seed_ep(self, ep_program: ConstraintProgram) -> None:
-        """Reuse an EP twin the caller already materialised."""
-        self._ep = ep_program
-
-
-#: per-process memo: source hash → derived FileContext.  Lives in module
-#: scope so every task executed in one worker process shares it.
-_CONTEXTS: Dict[str, FileContext] = {}
-
-
-def reset_contexts() -> None:
-    """Drop all memoised file contexts (tests / memory pressure)."""
-    _CONTEXTS.clear()
-
-
-def context_for(task: SolveTask) -> FileContext:
-    """The (memoised) derived state for ``task``'s translation unit."""
-    ctx = _CONTEXTS.get(task.source_hash)
-    if ctx is None:
-        if task.source_kind == "lir":
-            from ..interchange import parse_constraint_text
-
-            program = parse_constraint_text(task.source, task.file_name)
-        else:
-            from ..analysis.frontend import build_constraints
-            from ..bench.corpus import generate_c_source
-            from ..frontend import compile_c
-
-            source = task.source
-            if source is None:
-                source = generate_c_source(task.spec)
-            module = compile_c(source, task.file_name)
-            program = build_constraints(module).program
-        ctx = FileContext(task.file_name, task.source_hash, program)
-        _CONTEXTS[task.source_hash] = ctx
-    return ctx
+        source = generate_c_source(task.spec)
+    pipeline = Pipeline(cache=worker.cache)
+    src = pipeline.source(task.file_name, source)
+    if task.source_kind == "lir":
+        return pipeline.constraints_from_text(src).program
+    return pipeline.constraints(src).program
 
 
 def execute_task(
-    task: SolveTask, context: Optional[FileContext] = None
+    task: SolveTask, worker: Optional["Worker"] = None
 ) -> TaskResult:
     """Solve one task; the worker entry point (and the in-process path).
 
-    Mirrors the historical serial runner exactly: one untimed solve
-    produces the solution (and, under wall timing, warms the path),
-    then ``time_callable`` measures ``repetitions`` further solves.
+    ``worker`` supplies the program (see :func:`task_program`); a fresh
+    cacheless one is used when omitted.  One untimed solve produces the
+    solution (and, under wall timing, warms the path), then
+    ``time_callable`` measures ``repetitions`` further solves.
     """
     from ..bench.timing import time_callable
 
-    reg = None
-    if task.profile:
-        from ..obs import Registry, record_solver_stats
+    if worker is None:
+        from .pool import Worker
 
-        reg = Registry()
-    if reg is not None:
-        with reg.scope("task.derive"):
-            ctx = context if context is not None else context_for(task)
-            config = task.configuration()
-            prepared = ctx.prepared(config)
-        with reg.scope("task.solve"):
-            solution: Solution = solve_prepared(prepared, config)
-    else:
-        ctx = context if context is not None else context_for(task)
+        worker = Worker()
+    reg = Registry() if task.profile else NULL_REGISTRY
+    with reg.scope("task.derive"):
         config = task.configuration()
-        prepared = ctx.prepared(config)
-        solution = solve_prepared(prepared, config)
+        prepared = prepare_program(task_program(task, worker), config)
+    with reg.scope("task.solve"):
+        solution: Solution = solve_prepared(prepared, config)
     if task.timing == "cost":
         runtime = cost_runtime(solution.stats)
     else:
@@ -242,7 +206,7 @@ def execute_task(
             lambda: solve_prepared(prepared, config), task.repetitions
         )
     metrics = None
-    if reg is not None:
+    if task.profile:
         record_solver_stats(reg, solution.stats.to_dict())
         metrics = reg.to_dict()
     return TaskResult(

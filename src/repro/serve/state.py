@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 from typing import Dict, List, Optional
 
 from ..analysis.config import Configuration, parse_name
 from ..analysis.constraints import ConstraintProgram
 from ..analysis.solution import Solution
-from ..driver.cache import ResultCache
+from ..driver.cache import ResultCache, write_text_atomic
 from ..link import LinkedProgram, LinkOptions
 from ..obs import Registry
 from ..pipeline import ConstraintsArtifact, SourceArtifact
@@ -127,12 +126,9 @@ def save_project(
     }
     payload["digest"] = _payload_digest(payload)
     path = state_path(state_dir, project_id)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
+    write_text_atomic(
+        path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     )
-    os.replace(tmp, path)
     return path
 
 

@@ -8,7 +8,8 @@ Execution plan for :func:`link_sharded` (``docs/internals.md`` §14):
 2. **Shard links** — one :class:`ShardLinkJob` per occupied slot runs
    the staged pipeline for its members (``constraints`` stage, disk
    hits on warm runs) and links them **open** into a ``shardlink``
-   artifact.  Jobs fan out over one multiprocessing pool.
+   artifact.  Jobs fan out over the driver's shared
+   :class:`repro.driver.pool.Executor`.
 3. **Merge tree** — :func:`repro.shard.tree.merge_rounds` schedules
    O(log K) rounds of pairwise :class:`MergeJob`\\ s; each loads its two
    child artifacts from the cache, re-links their joint programs (open
@@ -17,8 +18,10 @@ Execution plan for :func:`link_sharded` (``docs/internals.md`` §14):
    merges within a round run in parallel.
 
 Artifacts never travel over the pool's pipes — workers exchange them
-through the shared content-addressed cache (an ephemeral temp cache is
-created when the caller runs cacheless).  The parent derives every
+through the shared content-addressed cache, which the executor reopens
+in every worker with the caller's bound (an ephemeral temp cache is
+created when the caller runs cacheless, or bounds the cache below the
+occupied shard count).  The parent derives every
 ``shard.*`` counter from the per-job ``from_cache`` flags **in slot /
 schedule order**, so counters are invariant across ``--jobs`` and pool
 start methods, exactly like the flat driver's.
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..driver.cache import ResultCache
-from ..driver.pool import _init_worker, _pool_context
+from ..driver.pool import Executor, Worker
 from ..link import LinkedProgram, LinkOptions, link_programs
 from ..obs import Registry, TraceWriter, record_peak_rss, scope as _obs_scope
 from ..pipeline.stages import Pipeline, _key
@@ -49,7 +52,6 @@ __all__ = [
     "ShardError",
     "ShardLinkJob",
     "ShardedLinkResult",
-    "execute_shard_job",
     "link_sharded",
 ]
 
@@ -71,7 +73,6 @@ class ShardLinkJob:
     index: int  # unique within one link_sharded call (reorder key)
     shard: int  # original plan slot (counter naming)
     sources: Tuple[Tuple[str, str], ...]  # (name, text) in link order
-    cache_root: str
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,6 @@ class ShardJobResult:
     from_cache: bool
     #: per-member constraints-stage provenance (shard-link jobs only)
     members_from_cache: Tuple[bool, ...] = ()
-
-
-@dataclass(frozen=True)
-class _MergeEnv:
-    """Cache location for merge jobs (kept off MergeJob so the schedule
-    itself stays a pure-shape value in tests)."""
-
-    cache_root: str
-    job: MergeJob
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +134,8 @@ def merge_key(
     return _key("shardmerge", *parts)
 
 
-def _execute_shard_link(job: ShardLinkJob) -> ShardJobResult:
-    cache = ResultCache(job.cache_root)
+def _execute_shard_link(job: ShardLinkJob, worker: Worker) -> ShardJobResult:
+    cache = worker.cache
     pipeline = Pipeline(cache=cache)
     members = [
         pipeline.constraints(pipeline.source(name, text))
@@ -196,9 +188,8 @@ def _compose_member_maps(
     return state[root][1]
 
 
-def _execute_merge(env: _MergeEnv) -> ShardJobResult:
-    job = env.job
-    cache = ResultCache(env.cache_root)
+def _execute_merge(job: MergeJob, worker: Worker) -> ShardJobResult:
+    cache = worker.cache
     options = (
         LinkOptions.from_dict(job.options)
         if job.options is not None
@@ -217,15 +208,6 @@ def _execute_merge(env: _MergeEnv) -> ShardJobResult:
     linked = link_programs(programs, options)
     cache.store_stage("shardmerge", key, linked.to_dict())
     return ShardJobResult(job.index, key, False)
-
-
-def execute_shard_job(job) -> ShardJobResult:
-    """Module-level dispatcher (picklable for both pool start methods)."""
-    if isinstance(job, ShardLinkJob):
-        return _execute_shard_link(job)
-    if isinstance(job, _MergeEnv):
-        return _execute_merge(job)
-    raise ShardError(f"unknown shard job type: {type(job).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -279,44 +261,6 @@ class ShardedLinkResult:
     member_var_maps: Optional[Dict[str, List[int]]] = None
 
 
-class _Executor:
-    """Runs job batches serially or on one shared pool, restoring
-    submission order by each job's ``index``."""
-
-    def __init__(self, jobs: int, start_method: Optional[str]):
-        self.jobs = max(1, jobs)
-        self._start_method = start_method
-        self._pool = None
-
-    def __enter__(self) -> "_Executor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-
-    def run(self, batch: List) -> List[ShardJobResult]:
-        if not batch:
-            return []
-        if self.jobs == 1 or len(batch) == 1:
-            return [execute_shard_job(job) for job in batch]
-        if self._pool is None:
-            ctx = _pool_context(self._start_method)
-            self._pool = ctx.Pool(
-                processes=self.jobs, initializer=_init_worker
-            )
-        unordered = list(
-            self._pool.imap_unordered(execute_shard_job, batch, chunksize=1)
-        )
-        by_index = {r.index: r for r in unordered}
-        indexes = [
-            (job.index if isinstance(job, ShardLinkJob) else job.job.index)
-            for job in batch
-        ]
-        return [by_index[i] for i in indexes]
-
-
 def link_sharded(
     sources: Sequence[Tuple[str, str]],
     shards: int,
@@ -349,13 +293,18 @@ def link_sharded(
     )
 
     ephemeral: Optional[str] = None
-    if cache is None:
+    if cache is None or (
+        cache.max_entries is not None
+        and cache.max_entries < len(plan.occupied)
+    ):
+        # Leaf and merge artifacts travel through the cache, and at most
+        # one per occupied shard must coexist in a namespace; a tighter
+        # bound would evict leaves before their merge reads them.
         ephemeral = tempfile.mkdtemp(prefix="repro-shard-")
         cache = ResultCache(ephemeral)
-    cache_root = str(cache.root)
 
     try:
-        with _Executor(jobs, start_method) as executor:
+        with Executor(jobs, cache, start_method=start_method) as executor:
             # --- phase 1: shard links (leaves) ------------------------
             link_jobs = [
                 ShardLinkJob(
@@ -364,12 +313,11 @@ def link_sharded(
                     sources=tuple(
                         (name, by_name[name]) for name in plan.groups[slot]
                     ),
-                    cache_root=cache_root,
                 )
                 for i, slot in enumerate(plan.occupied)
             ]
             with _obs_scope(registry, "shard.link"):
-                leaf_results = executor.run(link_jobs)
+                leaf_results = executor.map(_execute_shard_link, link_jobs)
             record_peak_rss(registry)
             for job, result in zip(link_jobs, leaf_results):
                 hit = result.from_cache
@@ -404,34 +352,27 @@ def link_sharded(
                     batch = []
                     for node in round_nodes:
                         batch.append(
-                            _MergeEnv(
-                                cache_root,
-                                MergeJob(
-                                    index=next_index,
-                                    round=r,
-                                    out=node.out,
-                                    left=nodes[node.left],
-                                    right=nodes[node.right],
-                                    options=(
-                                        options.to_dict()
-                                        if is_root_round
-                                        else None
-                                    ),
+                            MergeJob(
+                                index=next_index,
+                                round=r,
+                                out=node.out,
+                                left=nodes[node.left],
+                                right=nodes[node.right],
+                                options=(
+                                    options.to_dict()
+                                    if is_root_round
+                                    else None
                                 ),
                             )
                         )
                         next_index += 1
-                    results = executor.run(batch)
+                    results = executor.map(_execute_merge, batch)
                     merged: List[Tuple[str, str]] = [
                         ("shardmerge", res.key) for res in results
                     ]
-                    for env, res in zip(batch, results):
+                    for job, res in zip(batch, results):
                         edges.append(
-                            (
-                                ("shardmerge", res.key),
-                                env.job.left,
-                                env.job.right,
-                            )
+                            (("shardmerge", res.key), job.left, job.right)
                         )
                     if len(nodes) % 2:  # odd tail passes through
                         merged.append(nodes[-1])
@@ -447,18 +388,15 @@ def link_sharded(
                 if not rounds and options.cache_key != "open":
                     # Singleton tree but a non-open final mode: re-link
                     # the lone open artifact under the caller's options.
-                    job = _MergeEnv(
-                        cache_root,
-                        MergeJob(
-                            index=next_index,
-                            round=0,
-                            out=0,
-                            left=nodes[0],
-                            right=None,
-                            options=options.to_dict(),
-                        ),
+                    job = MergeJob(
+                        index=next_index,
+                        round=0,
+                        out=0,
+                        left=nodes[0],
+                        right=None,
+                        options=options.to_dict(),
                     )
-                    res = executor.run([job])[0]
+                    res = executor.map(_execute_merge, [job])[0]
                     hit = res.from_cache
                     stats.merge_hits += hit
                     stats.merge_runs += not hit
@@ -466,9 +404,7 @@ def link_sharded(
                         registry.add(
                             "shard.merge.hits" if hit else "shard.merge.runs"
                         )
-                    edges.append(
-                        (("shardmerge", res.key), job.job.left, None)
-                    )
+                    edges.append((("shardmerge", res.key), job.left, None))
                     nodes = [("shardmerge", res.key)]
             record_peak_rss(registry)
 

@@ -31,6 +31,8 @@ import os
 import pathlib
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..driver.cache import write_text_atomic
+
 __all__ = ["ShardSolutionStore", "store_solution"]
 
 
@@ -102,9 +104,7 @@ class ShardSolutionStore:
             "entries": self.entries,
             "external": list(external),
         }
-        tmp = self.root / (self.MANIFEST + ".tmp")
-        tmp.write_text(_dumps(manifest))
-        os.replace(tmp, self.root / self.MANIFEST)
+        write_text_atomic(self.root / self.MANIFEST, _dumps(manifest))
         self._finalized = True
         self._external = list(external)
 

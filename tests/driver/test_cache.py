@@ -217,6 +217,22 @@ class TestCacheBehaviour:
         assert warm_stats.solved == 0
         assert [r.runtime_s for r in warm] == [r.runtime_s for r in results]
 
+    def test_driver_stats_count_only_their_own_call(self, tmp_path):
+        """A reused cache's running totals must not leak into a call's
+        stats, nor keep changing an earlier call's stats afterwards."""
+        cache = ResultCache(tmp_path)
+        _, first = solve_tasks([make_task()], cache=cache)
+        _, second = solve_tasks(
+            [make_task(), make_task(config="EP+Naive", index=1)], cache=cache
+        )
+        assert (first.cache.hits, first.cache.misses, first.cache.stores) == (
+            0, 1, 1,
+        )
+        assert (
+            second.cache.hits, second.cache.misses, second.cache.stores,
+        ) == (1, 1, 1)
+        assert cache.stats.misses == 2
+
     def test_cached_solution_matches_direct_solve(self, tmp_path):
         task = make_task(config="EP+OVS+WL(LRF)+OCD")
         direct = execute_task(task)

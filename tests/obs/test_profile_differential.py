@@ -12,7 +12,7 @@ import io
 import pytest
 
 from repro.bench import build_corpus, flatten, run_experiment
-from repro.bench.runner import build_contexts, build_tasks
+from repro.bench.runner import build_programs, build_tasks
 from repro.driver import ResultCache, solve_tasks
 from repro.obs import Registry, TraceWriter, validate_trace_text
 
@@ -95,7 +95,7 @@ class TestTraceReplaysSolverStats:
         trace = TraceWriter(buf)
         tasks = build_tasks(corpus_files, CONFIGS, 1, timing="cost")
         results, _ = solve_tasks(
-            tasks, contexts=build_contexts(corpus_files),
+            tasks, programs=build_programs(corpus_files),
             registry=registry, trace=trace,
         )
         trace.close()

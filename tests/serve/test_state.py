@@ -103,6 +103,20 @@ class TestRoundtrip:
             "p1.project.json"
         ]
 
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        project = built_project()
+        save_project(tmp_path, "p1", project)
+        before = (tmp_path / "p1.project.json").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_project(tmp_path, "p1", project)
+        assert [p.name for p in tmp_path.iterdir()] == ["p1.project.json"]
+        assert (tmp_path / "p1.project.json").read_bytes() == before
+
     def test_closed_project_refuses_to_save(self, tmp_path):
         with pytest.raises(RuntimeError):
             save_project(tmp_path, "p1", Project())
