@@ -13,11 +13,11 @@ Commands
     explicit-pointee counts (validating identical solutions).
 ``link FILE...``
     Run the staged pipeline over several translation units, link their
-    constraint programs cross-TU, and solve the joint program.
-    ``--ladder`` additionally reports the k-of-N prefix ladder,
-    ``--cache`` memoises every stage artifact on disk, and ``--out``
-    writes the full report (link summary, solution, per-stage timings
-    and cache counters) as JSON.
+    constraint programs cross-TU, and solve the joint program.  C and
+    ``.lir`` members mix freely.  ``--ladder`` additionally reports the
+    k-of-N prefix ladder, ``--cache`` memoises every stage artifact on
+    disk, and ``--out`` writes the full report (link summary, solution,
+    per-stage timings and cache counters) as JSON.
 ``serve [FILE...]``
     The persistent analysis server (``repro.serve``): builds the files
     into a linked project and answers NDJSON protocol requests over
@@ -29,7 +29,7 @@ Commands
     The corpus experiment runner (``repro.bench.runner``); all its
     arguments pass through, e.g. ``repro run --jobs 4 --profile``.
 ``constraints export FILE...``
-    Export C sources as canonical LIR constraint text
+    Export C and ``.lir`` sources as canonical LIR constraint text
     (``repro.interchange``): one file exports its TU constraint
     program, several export the linked joint program (``--shards``/
     ``--jobs`` run the sharded link).
@@ -47,15 +47,22 @@ Commands
 ``configs``
     List all valid solver configurations.
 
-``sweep``, ``link``, ``serve``, ``query`` and ``run`` accept
-``--profile`` (collect obs metrics) and ``--trace-out FILE`` (JSONL
-trace events; implies ``--profile``).  Profiling never changes
-solutions or cache contents.  Caching commands accept
+Every command that links (``link``, ``audit``, multi-file
+``constraints export``) goes through one front door,
+:meth:`repro.pipeline.Pipeline.link_sources`; ``--shards K`` (C members
+only) selects its sharded path.
+
+``sweep``, ``link``, ``audit``, ``constraints``, ``serve``, ``query``
+and ``run`` accept ``--profile`` (collect obs metrics) and
+``--trace-out FILE`` (JSONL trace events; implies ``--profile``).
+Profiling never changes solutions or cache contents, and a run that
+fails leaves no trace file.  Caching commands accept
 ``--cache-max-entries N`` to bound each on-disk cache namespace with
 LRU eviction.
 
 Frontend failures (preprocessor, parse, sema, lowering) exit 1 with a
-one-line ``file:line: message`` diagnostic instead of a traceback.
+one-line ``file:line: message`` diagnostic instead of a traceback, as do
+link errors (one ``link error:`` line each).
 """
 
 from __future__ import annotations
@@ -78,43 +85,61 @@ from .analysis import (
 from .driver.cache import cache_from_args, write_text_atomic
 from .frontend import FRONTEND_ERRORS, compile_c, describe_error
 from .ir import print_module
+from .link import LinkError, LinkOptions
+
+# ----------------------------------------------------------------------
+# Plumbing shared by the commands
+# ----------------------------------------------------------------------
 
 
-def _obs_setup(args):
-    """(registry, trace) from the shared --profile/--trace-out options."""
-    from .obs import Registry, TraceWriter
-
-    profiling = args.profile or args.trace_out is not None
-    registry = Registry() if profiling else None
-    trace = (
-        TraceWriter(args.trace_out) if args.trace_out is not None else None
-    )
-    return registry, trace
+def _config(args, pts: bool = True):
+    """The ``--config`` configuration (the default when absent), with
+    ``--pts-backend`` applied when ``pts`` and the command has one."""
+    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
+    backend = getattr(args, "pts_backend", None) if pts else None
+    return dataclasses.replace(config, pts=backend) if backend else config
 
 
-def _add_obs_options(parser) -> None:
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="collect obs metrics (counters/timers) for this run",
-    )
-    parser.add_argument(
-        "--trace-out", type=pathlib.Path, default=None,
-        help="write JSONL trace events here (implies --profile)",
-    )
+def _link_options(args) -> LinkOptions:
+    keep = tuple(args.keep.split(",")) if args.keep else ("main",)
+    return LinkOptions(internalize=args.internalize, keep=keep)
+
+
+def _sources(pipeline, files) -> list:
+    """CLI FILE arguments → pipeline source artifacts in link order."""
+    return [
+        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
+        for f in files
+    ]
+
+
+def _print_points_to(program, solution) -> None:
+    for p in solution.pointers():
+        targets = solution.points_to(p)
+        if targets:
+            names = sorted(map(str, solution.names(targets)))
+            print(f"  Sol({program.var_names[p]}) = {{{', '.join(names)}}}")
+
+
+def _print_external(solution) -> None:
+    print("\nexternally accessible:")
+    for name in sorted(map(str, solution.names(solution.external))):
+        print(f"  {name}")
 
 
 def _load_module(path: str, headers_dir: Optional[str]):
-    source = pathlib.Path(path).read_text()
     headers = {}
     if headers_dir:
         for header in pathlib.Path(headers_dir).glob("*.h"):
             headers[header.name] = header.read_text()
-    try:
-        return compile_c(source, pathlib.Path(path).name, headers=headers)
-    except FRONTEND_ERRORS as exc:
-        if getattr(exc, "source_name", None) is None:
-            exc.source_name = pathlib.Path(path).name
-        raise
+    path = pathlib.Path(path)
+    return compile_c(path.read_text(), path.name, headers=headers)
+
+
+# ----------------------------------------------------------------------
+# Commands.  ``main`` sets ``args.registry``/``args.trace`` (None unless
+# profiling) and turns library errors into diagnostics and exit codes.
+# ----------------------------------------------------------------------
 
 
 def cmd_compile(args) -> int:
@@ -125,9 +150,7 @@ def cmd_compile(args) -> int:
 
 def cmd_analyze(args) -> int:
     module = _load_module(args.file, args.include)
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
-    if args.pts_backend:
-        config = dataclasses.replace(config, pts=args.pts_backend)
+    config = _config(args)
     result = analyze_module(module, config)
     program = result.built.program
     solution = result.solution
@@ -137,16 +160,9 @@ def cmd_analyze(args) -> int:
     print(f"; {program.num_vars} constraint variables,"
           f" {program.num_constraints()} constraints,"
           f" configuration {config.name}")
-    print("\nexternally accessible:")
-    for name in sorted(map(str, solution.names(solution.external))):
-        print(f"  {name}")
+    _print_external(solution)
     print("\npoints-to sets:")
-    for p in solution.pointers():
-        targets = solution.points_to(p)
-        if not targets:
-            continue
-        names = sorted(map(str, solution.names(targets)))
-        print(f"  Sol({program.var_names[p]}) = {{{', '.join(names)}}}")
+    _print_points_to(program, solution)
     return 0
 
 
@@ -192,22 +208,17 @@ def cmd_sweep(args) -> int:
         # workers build the raw source through the pipeline.
         module = _load_module(args.file, args.include)
         programs = {digest: build_constraints(module).program}
-    cache = cache_from_args(args)
-    registry, trace = _obs_setup(args)
-    try:
-        results, stats = solve_tasks(
-            tasks,
-            jobs=args.jobs,
-            cache=cache,
-            programs=programs,
-            registry=registry,
-            trace=trace,
-        )
-        if trace is not None:
-            trace.emit("metrics", "sweep", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
+    registry, trace = args.registry, args.trace
+    results, stats = solve_tasks(
+        tasks,
+        jobs=args.jobs,
+        cache=cache_from_args(args),
+        programs=programs,
+        registry=registry,
+        trace=trace,
+    )
+    if trace is not None:
+        trace.emit("metrics", "sweep", registry.to_dict())
     print(f"{'configuration':>24}  {'time':>10}  {'explicit pointees':>18}")
     for result in results:
         pointees = result.explicit_pointees
@@ -224,8 +235,6 @@ def cmd_sweep(args) -> int:
             f" {registry.counter('solver.propagations')} propagations,"
             f" {registry.counter('solver.pair_evals')} pair evals"
         )
-    if args.trace_out is not None:
-        print(f"wrote {args.trace_out}")
     return 0
 
 
@@ -233,68 +242,22 @@ def cmd_link(args) -> int:
     import json
 
     from .bench.ladder import format_table, ladder_over_members
-    from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
-    options = LinkOptions(
-        internalize=args.internalize,
-        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-    )
+    config = _config(args)
+    options = _link_options(args)
     cache = cache_from_args(args)
-    registry, trace = _obs_setup(args)
+    registry, trace = args.registry, args.trace
     pipeline = Pipeline(cache=cache, registry=registry)
-
-    sources = [
-        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
-        for f in args.files
-    ]
-    shard_stats = None
-    if args.shards:
-        # Sharded path: constraints + per-shard links + merge tree run
-        # as driver-pool jobs (byte-identical named solutions to the
-        # flat path below for any K / jobs value).
-        from .shard import link_sharded
-
-        try:
-            sharded = link_sharded(
-                [(src.name, src.text) for src in sources],
-                args.shards,
-                options=options,
-                jobs=args.jobs,
-                cache=cache,
-                registry=registry,
-                trace=trace,
-            )
-        except LinkError as exc:
-            for error in exc.errors:
-                print(f"link error: {error}", file=sys.stderr)
-            if trace is not None:
-                trace.close()
-            return 1
-        linked = sharded.linked
-        shard_stats = sharded.stats
-        members = None
-        if args.ladder:
-            members = [pipeline.constraints(src) for src in sources]
-    else:
-        members = []
-        for src in sources:
-            try:
-                members.append(pipeline.constraints(src))
-            except FRONTEND_ERRORS as exc:
-                if getattr(exc, "source_name", None) is None:
-                    exc.source_name = src.name
-                raise
-        try:
-            link_art = pipeline.link(members, options)
-        except LinkError as exc:
-            for error in exc.errors:
-                print(f"link error: {error}", file=sys.stderr)
-            if trace is not None:
-                trace.close()
-            return 1
-        linked = link_art.linked
+    sources = _sources(pipeline, args.files)
+    link_art = pipeline.link_sources(
+        sources, options, shards=args.shards, jobs=args.jobs, trace=trace
+    )
+    linked = link_art.linked
+    shard_stats = link_art.shard_stats
+    members = None
+    if args.ladder:
+        members = link_art.members or [pipeline.member(s) for s in sources]
     solve_art = pipeline.solve(linked.program, config)
     solution = solve_art.attach(linked.program)
     if trace is not None:
@@ -303,7 +266,6 @@ def cmd_link(args) -> int:
         for stage, stage_stats in pipeline.stage_report(timings=True).items():
             trace.emit("stage", stage, stage_stats)
         trace.emit("metrics", "link", registry.to_dict())
-        trace.close()
 
     summary = linked.summary()
     print(f"; linked {len(sources)} modules:"
@@ -332,18 +294,10 @@ def cmd_link(args) -> int:
         print("\nstill external (feed Ω):")
         for name in unresolved:
             print(f"  {name}")
-    print("\nexternally accessible:")
-    for name in sorted(map(str, solution.names(solution.external))):
-        print(f"  {name}")
+    _print_external(solution)
     if args.show_solution:
-        program = linked.program
         print("\npoints-to sets:")
-        for p in solution.pointers():
-            targets = solution.points_to(p)
-            if not targets:
-                continue
-            names = sorted(map(str, solution.names(targets)))
-            print(f"  Sol({program.var_names[p]}) = {{{', '.join(names)}}}")
+        _print_points_to(linked.program, solution)
 
     ladder_rungs = None
     if args.ladder:
@@ -381,8 +335,6 @@ def cmd_link(args) -> int:
             args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"\nwrote {args.out}")
-    if args.trace_out is not None:
-        print(f"wrote {args.trace_out}")
     return 0
 
 
@@ -396,16 +348,10 @@ def cmd_audit(args) -> int:
         render_report_evidence,
         render_report_table,
     )
-    from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
-    if args.pts_backend:
-        config = dataclasses.replace(config, pts=args.pts_backend)
-    options = LinkOptions(
-        internalize=args.internalize,
-        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-    )
+    config = _config(args)
+    options = _link_options(args)
     cache = cache_from_args(args)
     if args.client not in audit_names():
         print(
@@ -414,73 +360,26 @@ def cmd_audit(args) -> int:
             file=sys.stderr,
         )
         return 2
-    registry, trace = _obs_setup(args)
+    registry, trace = args.registry, args.trace
     pipeline = Pipeline(cache=cache, registry=registry)
+    sources = _sources(pipeline, args.files)
+    link_art = pipeline.link_sources(
+        sources,
+        options,
+        shards=args.shards,
+        jobs=args.jobs,
+        trace=trace,
+        member_maps=True,
+    )
+    linked = link_art.linked
+    solution = pipeline.solve(linked.program, config).attach(linked.program)
 
-    sources = [
-        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
-        for f in args.files
-    ]
-    # ``.lir`` files enter through the interchange front door; anything
-    # else through the C frontend.  Constraint-tier clients cover both;
-    # IR-tier clients see only the C members.
+    # Constraint-tier clients cover every member; IR-tier clients see
+    # only the C members.
     ir_sources = [s for s in sources if not s.name.endswith(".lir")]
-    if args.shards and len(ir_sources) != len(sources):
-        print(
-            "repro: error: --shards cannot link .lir members"
-            " (use the flat path)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.shards:
-            from .shard import link_sharded
-
-            sharded = link_sharded(
-                [(src.name, src.text) for src in sources],
-                args.shards,
-                options=options,
-                jobs=args.jobs,
-                cache=cache,
-                registry=registry,
-                trace=trace,
-                member_maps=True,
-            )
-            linked = sharded.linked
-            audit_var_maps = sharded.member_var_maps
-            # Relabel the merge tree's nested name so report metadata
-            # (and the human-readable provenance) is byte-identical to
-            # the flat link for any --shards/--jobs value; content
-            # identity and cache keys ride the named canonical
-            # *solution* digest, which the shard exactness suite locks.
-            linked.program.name = "linked(" + "+".join(
-                src.name for src in sources
-            ) + ")"
-        else:
-            audit_var_maps = None
-            members = []
-            for src in sources:
-                try:
-                    if src.name.endswith(".lir"):
-                        members.append(pipeline.constraints_from_text(src))
-                    else:
-                        members.append(pipeline.constraints(src))
-                except FRONTEND_ERRORS as exc:
-                    if getattr(exc, "source_name", None) is None:
-                        exc.source_name = src.name
-                    raise
-            linked = pipeline.link(members, options).linked
-    except LinkError as exc:
-        for error in exc.errors:
-            print(f"link error: {error}", file=sys.stderr)
-        if trace is not None:
-            trace.close()
-        return 1
-    solve_art = pipeline.solve(linked.program, config)
-    solution = solve_art.attach(linked.program)
-
     context = build_audit_context(
-        pipeline, ir_sources, linked, solution, var_maps=audit_var_maps
+        pipeline, ir_sources, linked, solution,
+        var_maps=link_art.member_var_maps,
     )
     params = {}
     if args.oracle is not None:
@@ -499,14 +398,11 @@ def cmd_audit(args) -> int:
         )
     except AuditError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
-        if trace is not None:
-            trace.close()
         return 1
     report = audit_art.report
     if trace is not None:
         trace.emit("audit", args.client, report["counts"])
         trace.emit("metrics", "audit", registry.to_dict())
-        trace.close()
 
     if args.format == "json":
         sys.stdout.write(
@@ -522,88 +418,37 @@ def cmd_audit(args) -> int:
             args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {args.out}")
-    if args.trace_out is not None:
-        print(f"wrote {args.trace_out}")
     return 0
 
 
 def cmd_constraints_export(args) -> int:
     from .interchange import export_constraint_text
-    from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
-    cache = cache_from_args(args)
-    registry, trace = _obs_setup(args)
-    pipeline = Pipeline(cache=cache, registry=registry)
-    sources = [
-        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
-        for f in args.files
-    ]
-    try:
-        if len(sources) == 1:
-            # One file exports its TU constraint program, pre-link:
-            # no linkage escapes, no cross-module resolution.
-            src = sources[0]
-            try:
-                program = pipeline.constraints(src).program
-            except FRONTEND_ERRORS as exc:
-                if getattr(exc, "source_name", None) is None:
-                    exc.source_name = src.name
-                raise
-        elif args.shards:
-            from .shard import link_sharded
-
-            options = LinkOptions(
-                internalize=args.internalize,
-                keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-            )
-            sharded = link_sharded(
-                [(src.name, src.text) for src in sources],
-                args.shards,
-                options=options,
-                jobs=args.jobs,
-                cache=cache,
-                registry=registry,
-                trace=trace,
-            )
-            program = sharded.linked.program
-            # The merge tree nests its label ("linked(linked(a)+…)");
-            # relabel to the flat link's so the canonical text is
-            # byte-identical for any --shards/--jobs value.
-            program.name = "linked(" + "+".join(
-                src.name for src in sources
-            ) + ")"
-        else:
-            options = LinkOptions(
-                internalize=args.internalize,
-                keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-            )
-            members = []
-            for src in sources:
-                try:
-                    members.append(pipeline.constraints(src))
-                except FRONTEND_ERRORS as exc:
-                    if getattr(exc, "source_name", None) is None:
-                        exc.source_name = src.name
-                    raise
-            program = pipeline.link(members, options).linked.program
-    except LinkError as exc:
-        for error in exc.errors:
-            print(f"link error: {error}", file=sys.stderr)
-        if trace is not None:
-            trace.close()
-        return 1
+    pipeline = Pipeline(cache=cache_from_args(args), registry=args.registry)
+    sources = _sources(pipeline, args.files)
+    if len(sources) == 1:
+        # One file exports its TU constraint program, pre-link: no
+        # linkage escapes, no cross-module resolution.
+        program = pipeline.member(sources[0]).program
+    else:
+        program = pipeline.link_sources(
+            sources,
+            _link_options(args),
+            shards=args.shards,
+            jobs=args.jobs,
+            trace=args.trace,
+        ).linked.program
     text = export_constraint_text(program)
-    if trace is not None:
-        trace.emit("metrics", "constraints-export", registry.to_dict())
-        trace.close()
+    if args.trace is not None:
+        args.trace.emit(
+            "metrics", "constraints-export", args.registry.to_dict()
+        )
     if args.out is not None:
         write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    if args.trace_out is not None:
-        print(f"wrote {args.trace_out}", file=sys.stderr)
     return 0
 
 
@@ -614,7 +459,8 @@ def cmd_constraints_solve(args) -> int:
     from .driver import SolveTask, solve_tasks, source_digest
     from .interchange import parse_constraint_text
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
+    # The tasks apply --pts-backend themselves; report the base name.
+    config = _config(args, pts=False)
     tasks = []
     programs = {}
     for i, f in enumerate(args.files):
@@ -638,22 +484,17 @@ def cmd_constraints_solve(args) -> int:
                 source_kind="lir",
             )
         )
-    cache = cache_from_args(args)
-    registry, trace = _obs_setup(args)
-    try:
-        results, stats = solve_tasks(
-            tasks,
-            jobs=args.jobs,
-            cache=cache,
-            programs=programs,
-            registry=registry,
-            trace=trace,
-        )
-        if trace is not None:
-            trace.emit("metrics", "constraints-solve", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
+    registry, trace = args.registry, args.trace
+    results, stats = solve_tasks(
+        tasks,
+        jobs=args.jobs,
+        cache=cache_from_args(args),
+        programs=programs,
+        registry=registry,
+        trace=trace,
+    )
+    if trace is not None:
+        trace.emit("metrics", "constraints-solve", registry.to_dict())
     entries = []
     for result in results:
         program = programs[tasks[result.index].source_hash]
@@ -665,13 +506,7 @@ def cmd_constraints_solve(args) -> int:
         external = sorted(map(str, solution.names(solution.external)))
         print(f"  externally accessible: {', '.join(external) or '(none)'}")
         if args.show_solution:
-            for p in solution.pointers():
-                targets = solution.points_to(p)
-                if not targets:
-                    continue
-                names = sorted(map(str, solution.names(targets)))
-                print(f"  Sol({program.var_names[p]}) ="
-                      f" {{{', '.join(names)}}}")
+            _print_points_to(program, solution)
         entries.append(
             {
                 "file": result.file_name,
@@ -690,8 +525,6 @@ def cmd_constraints_solve(args) -> int:
             args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {args.out}")
-    if args.trace_out is not None:
-        print(f"wrote {args.trace_out}")
     return 0
 
 
@@ -703,18 +536,15 @@ def _read_project_files(paths) -> dict:
 
 
 def _serve_components(args):
-    """(project, server, trace) shared by ``serve`` and ``query``."""
-    from .link import LinkOptions
+    """(project, server) shared by ``serve`` and ``query``."""
     from .serve import DEFAULT_MAX_REQUEST_BYTES, AnalysisServer, Project
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
-    options = LinkOptions(
-        internalize=args.internalize,
-        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
+    project = Project(
+        _config(args),
+        _link_options(args),
+        cache=cache_from_args(args),
+        registry=args.registry,
     )
-    cache = cache_from_args(args)
-    registry, trace = _obs_setup(args)
-    project = Project(config, options, cache=cache, registry=registry)
     server = AnalysisServer(
         project,
         timeout=args.timeout,
@@ -724,58 +554,51 @@ def _serve_components(args):
             else DEFAULT_MAX_REQUEST_BYTES
         ),
         memo_entries=args.memo_entries,
-        registry=registry,
-        trace=trace,
+        registry=args.registry,
+        trace=args.trace,
         workers=getattr(args, "workers", 1),
         state_dir=getattr(args, "state_dir", None),
     )
-    return project, server, trace
+    return project, server
 
 
 def cmd_serve(args) -> int:
     from .serve import serve_stdio, serve_tcp
 
-    project, server, trace = _serve_components(args)
-    try:
-        if args.files:
-            # Address the fleet's default project (a --state-dir restore
-            # may have replaced the one _serve_components built), and
-            # persist the startup generation like any other commit.
-            from .serve import DEFAULT_PROJECT
+    project, server = _serve_components(args)
+    if args.files:
+        # Address the fleet's default project (a --state-dir restore
+        # may have replaced the one _serve_components built), and
+        # persist the startup generation like any other commit.
+        from .serve import DEFAULT_PROJECT
 
-            state = server._state(DEFAULT_PROJECT)
-            with state.write_lock:
-                state.project.open(_read_project_files(args.files))
-                server._persist(state)
-        if args.tcp is not None:
-            host, _, port_text = args.tcp.rpartition(":")
-            try:
-                port = int(port_text)
-            except ValueError:
-                print(
-                    f"repro: error: bad --tcp address {args.tcp!r}"
-                    " (expected HOST:PORT)",
-                    file=sys.stderr,
-                )
-                return 2
-
-            def ready(bound_host: str, bound_port: int) -> None:
-                # The banner goes to stderr: on --stdio, stdout *is*
-                # the protocol stream, and tcp keeps the convention.
-                print(
-                    f"repro serve: listening on {bound_host}:{bound_port}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-
-            return serve_tcp(
-                server, host or "127.0.0.1", port, ready=ready
+        state = server._state(DEFAULT_PROJECT)
+        with state.write_lock:
+            state.project.open(_read_project_files(args.files))
+            server._persist(state)
+    if args.tcp is not None:
+        host, _, port_text = args.tcp.rpartition(":")
+        try:
+            port = int(port_text)
+        except ValueError:
+            print(
+                f"repro: error: bad --tcp address {args.tcp!r}"
+                " (expected HOST:PORT)",
+                file=sys.stderr,
             )
-        return serve_stdio(server)
-    finally:
-        if trace is not None:
-            trace.close()
-            print(f"wrote {args.trace_out}", file=sys.stderr)
+            return 2
+
+        def ready(bound_host: str, bound_port: int) -> None:
+            # The banner goes to stderr: on --stdio, stdout *is*
+            # the protocol stream, and tcp keeps the convention.
+            print(
+                f"repro serve: listening on {bound_host}:{bound_port}",
+                file=sys.stderr,
+                flush=True,
+            )
+
+        return serve_tcp(server, host or "127.0.0.1", port, ready=ready)
+    return serve_stdio(server)
 
 
 def cmd_query(args) -> int:
@@ -783,7 +606,7 @@ def cmd_query(args) -> int:
 
     from .serve import InProcessClient, encode_frame
 
-    project, server, trace = _serve_components(args)
+    project, server = _serve_components(args)
     client = InProcessClient(server)
     failures = 0
     try:
@@ -817,21 +640,7 @@ def cmd_query(args) -> int:
                 failures += 1
     finally:
         server.finish()
-        if trace is not None:
-            trace.close()
     return 1 if failures else 0
-
-
-def cmd_run(args) -> int:
-    from .bench.runner import main as runner_main
-
-    return runner_main(list(args.args))
-
-
-def cmd_shardbench(args) -> int:
-    from .bench.shardbench import main as shardbench_main
-
-    return shardbench_main(list(args.args))
 
 
 def cmd_configs(args) -> int:
@@ -842,46 +651,135 @@ def cmd_configs(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # ``run`` forwards verbatim to repro.bench.runner's own parser.
-    # Forward before parsing: argparse.REMAINDER cannot capture leading
-    # options (``repro run --jobs 2`` would be rejected here otherwise).
-    if argv[:1] == ["run"]:
-        from .bench.runner import main as runner_main
+# ----------------------------------------------------------------------
+# Argument parsing
+# ----------------------------------------------------------------------
 
-        return runner_main(argv[1:])
-    if argv[:1] == ["shardbench"]:
-        from .bench.shardbench import main as shardbench_main
 
-        return shardbench_main(argv[1:])
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
 
+
+def _add_config_options(
+    p, config: bool = True, pts: bool = True, pts_aliases=()
+) -> None:
+    if config:
+        p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
+    if pts:
+        aliases = "".join(f" ({a} is an alias)" for a in pts_aliases)
+        p.add_argument(
+            "--pts-backend",
+            *pts_aliases,
+            dest="pts_backend",
+            choices=("set", "bitset"),
+            default=None,
+            help="points-to-set representation (default: the"
+            f" configuration's, i.e. set){aliases}",
+        )
+
+
+def _add_link_options(p, sharded: bool = True) -> None:
+    p.add_argument(
+        "--internalize",
+        action="store_true",
+        help="treat the link set as the whole program (LTO-style):"
+        " exported definitions outside --keep lose their linkage escape",
+    )
+    p.add_argument(
+        "--keep", default=None,
+        help="comma-separated symbols kept external under --internalize"
+        " (default: main)",
+    )
+    if sharded:
+        p.add_argument(
+            "--shards", type=_positive_int, default=None, metavar="K",
+            help="link through K hash-assigned shards and a hierarchical"
+            " merge tree (C members only; byte-identical named solutions"
+            " to the flat link)",
+        )
+        p.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="worker processes for the sharded path (with --shards)",
+        )
+
+
+def _add_out_option(p, help: str) -> None:
+    p.add_argument("--out", type=pathlib.Path, default=None, help=help)
+
+
+def _add_cache_options(p, what: str) -> None:
+    p.add_argument(
+        "--cache",
+        action=argparse.BooleanOptionalAction,
+        default=False,
+        help=f"memoise {what} under --cache-dir",
+    )
+    p.add_argument(
+        "--cache-dir",
+        type=pathlib.Path,
+        default=pathlib.Path(".repro-cache"),
+    )
+    p.add_argument(
+        "--cache-max-entries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="bound each cache namespace to N entries (LRU eviction;"
+        " default: unbounded)",
+    )
+
+
+def _add_obs_options(p) -> None:
+    p.add_argument(
+        "--profile", action="store_true",
+        help="collect obs metrics (counters/timers) for this run",
+    )
+    p.add_argument(
+        "--trace-out", type=pathlib.Path, default=None,
+        help="write JSONL trace events here (implies --profile; a"
+        " failed run leaves no file)",
+    )
+
+
+def _add_serve_options(p) -> None:
+    _add_config_options(p, pts=False)
+    _add_link_options(p, sharded=False)
+    p.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-request deadline (an expired request answers a"
+        " structured 'timeout' error; default: none)",
+    )
+    p.add_argument(
+        "--max-request-bytes", type=int, default=None, metavar="N",
+        help="reject request lines longer than N bytes"
+        " (default: 1 MiB)",
+    )
+    p.add_argument(
+        "--memo-max-entries", "--memo-entries", dest="memo_entries",
+        type=int, default=1024, metavar="N",
+        help="per-project query-memo capacity, shared across"
+        " generations (--memo-entries is the old spelling)",
+    )
+    _add_cache_options(p, "pipeline stage artifacts")
+    _add_obs_options(p)
+    # stdout carries protocol frames: the trace note goes to stderr
+    p.set_defaults(stdout_is_data=True)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _add_cache_options(p, what: str) -> None:
-        p.add_argument(
-            "--cache",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help=f"memoise {what} under --cache-dir",
-        )
-        p.add_argument(
-            "--cache-dir",
-            type=pathlib.Path,
-            default=pathlib.Path(".repro-cache"),
-        )
-        p.add_argument(
-            "--cache-max-entries",
-            type=int,
-            default=None,
-            metavar="N",
-            help="bound each cache namespace to N entries (LRU eviction;"
-            " default: unbounded)",
-        )
 
     p = sub.add_parser("compile", help="compile C to textual IR")
     p.add_argument("file")
@@ -891,25 +789,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("analyze", help="run the points-to analysis")
     p.add_argument("file")
     p.add_argument("--include", default=None)
-    p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
-    p.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (default: the config's, i.e. set)",
-    )
+    _add_config_options(p)
     p.add_argument("--dump-constraints", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="compare solver configurations")
     p.add_argument("file")
     p.add_argument("--include", default=None)
-    p.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation applied to every configuration",
-    )
+    _add_config_options(p, config=False)
     p.add_argument(
         "--jobs", type=int, default=1,
         help="solve configurations on N worker processes",
@@ -922,39 +809,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser(
         "link", help="link several translation units and solve jointly"
     )
-    p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
     p.add_argument(
-        "--internalize",
-        action="store_true",
-        help="treat the link set as the whole program (LTO-style):"
-        " exported definitions outside --keep lose their linkage escape",
+        "files", nargs="+", metavar="FILE",
+        help="C translation units and/or .lir constraint-text files",
     )
-    p.add_argument(
-        "--keep", default=None,
-        help="comma-separated symbols kept external under --internalize"
-        " (default: main)",
-    )
+    _add_config_options(p, pts=False)
+    _add_link_options(p)
     p.add_argument(
         "--ladder",
         action="store_true",
         help="also solve every TU prefix and report the Ω-shrinkage ladder",
     )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="link through K hash-assigned shards and a hierarchical"
-        " merge tree (byte-identical named solutions to the flat link)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded path (with --shards)",
-    )
     p.add_argument("--show-solution", action="store_true")
     _add_cache_options(p, "stage artifacts")
-    p.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="write the full report JSON here",
-    )
+    _add_out_option(p, "write the full report JSON here")
     _add_obs_options(p)
     p.set_defaults(func=cmd_link)
 
@@ -972,13 +840,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "files", nargs="+", metavar="FILE",
         help="C translation units and/or .lir constraint-text files",
     )
-    p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
-    p.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (default: the config's)",
-    )
+    _add_config_options(p)
     p.add_argument(
         "--oracle",
         choices=("andersen", "basicaa", "combined"),
@@ -1004,24 +866,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="calls: also report bounded call sites (default: yes)",
     )
-    p.add_argument(
-        "--internalize",
-        action="store_true",
-        help="treat the link set as the whole program (LTO-style)",
-    )
-    p.add_argument(
-        "--keep", default=None,
-        help="comma-separated symbols kept external under --internalize"
-        " (default: main)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="link through K hash-assigned shards (C members only)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded path (with --shards)",
-    )
+    _add_link_options(p)
     p.add_argument(
         "--format",
         choices=("table", "json"),
@@ -1033,10 +878,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="also print each finding's evidence chain (table format)",
     )
-    p.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="write the canonical report JSON here",
-    )
+    _add_out_option(p, "write the canonical report JSON here")
     _add_cache_options(p, "stage artifacts and audit reports")
     _add_obs_options(p)
     p.set_defaults(func=cmd_audit)
@@ -1050,92 +892,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     pe = csub.add_parser(
         "export",
-        help="compile C sources and print the canonical constraint text",
+        help="compile C (or .lir) sources and print the canonical"
+        " constraint text",
     )
     pe.add_argument("files", nargs="+", metavar="FILE")
-    pe.add_argument(
-        "--internalize",
-        action="store_true",
-        help="treat the link set as the whole program (LTO-style;"
-        " multi-file export only)",
-    )
-    pe.add_argument(
-        "--keep", default=None,
-        help="comma-separated symbols kept external under --internalize"
-        " (default: main)",
-    )
-    pe.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="link through K hash-assigned shards (multi-file export)",
-    )
-    pe.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded path (with --shards)",
-    )
-    pe.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="write the constraint text here (default: stdout)",
-    )
+    _add_link_options(pe)
+    _add_out_option(pe, "write the constraint text here (default: stdout)")
     _add_cache_options(pe, "stage artifacts")
     _add_obs_options(pe)
-    pe.set_defaults(func=cmd_constraints_export)
+    pe.set_defaults(func=cmd_constraints_export, stdout_is_data=True)
 
     ps = csub.add_parser(
         "solve",
         help="solve constraint-text files directly (no C frontend)",
     )
     ps.add_argument("files", nargs="+", metavar="FILE")
-    ps.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
-    ps.add_argument(
-        "--pts-backend", "--backend",
-        dest="pts_backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (--backend is an alias)",
-    )
+    _add_config_options(ps, pts_aliases=("--backend",))
     ps.add_argument(
         "--jobs", type=int, default=1,
         help="solve files on N worker processes",
     )
     ps.add_argument("--show-solution", action="store_true")
-    ps.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="write a JSON report (named canonical solutions) here",
+    _add_out_option(
+        ps, "write a JSON report (named canonical solutions) here"
     )
     _add_cache_options(ps, "solved results")
     _add_obs_options(ps)
     ps.set_defaults(func=cmd_constraints_solve)
-
-    def _add_serve_options(p) -> None:
-        p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
-        p.add_argument(
-            "--internalize",
-            action="store_true",
-            help="treat the link set as the whole program (LTO-style)",
-        )
-        p.add_argument(
-            "--keep", default=None,
-            help="comma-separated symbols kept external under --internalize"
-            " (default: main)",
-        )
-        p.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-request deadline (an expired request answers a"
-            " structured 'timeout' error; default: none)",
-        )
-        p.add_argument(
-            "--max-request-bytes", type=int, default=None, metavar="N",
-            help="reject request lines longer than N bytes"
-            " (default: 1 MiB)",
-        )
-        p.add_argument(
-            "--memo-max-entries", "--memo-entries", dest="memo_entries",
-            type=int, default=1024, metavar="N",
-            help="per-project query-memo capacity, shared across"
-            " generations (--memo-entries is the old spelling)",
-        )
-        _add_cache_options(p, "pipeline stage artifacts")
-        _add_obs_options(p)
 
     p = sub.add_parser(
         "serve",
@@ -1184,6 +967,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_serve_options(p)
     p.set_defaults(func=cmd_query)
 
+    # ``run`` and ``shardbench`` never reach argparse (main forwards
+    # them first); their entries keep them in --help.
     p = sub.add_parser(
         "run",
         help="corpus experiment runner (repro.bench.runner pass-through)",
@@ -1192,8 +977,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "args", nargs=argparse.REMAINDER,
         help="arguments for repro.bench.runner (see its --help)",
     )
-    p.set_defaults(func=cmd_run)
-
     p = sub.add_parser(
         "shardbench",
         help="sharded-link scaling benchmark"
@@ -1203,18 +986,49 @@ def main(argv: Optional[List[str]] = None) -> int:
         "args", nargs=argparse.REMAINDER,
         help="arguments for repro.bench.shardbench (see its --help)",
     )
-    p.set_defaults(func=cmd_shardbench)
 
     p = sub.add_parser("configs", help="list all valid configurations")
     p.set_defaults(func=cmd_configs)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # ``run`` forwards verbatim to repro.bench.runner's own parser.
+    # Forward before parsing: argparse.REMAINDER cannot capture leading
+    # options (``repro run --jobs 2`` would be rejected here otherwise).
+    if argv[:1] == ["run"]:
+        from .bench.runner import main as runner_main
+
+        return runner_main(argv[1:])
+    if argv[:1] == ["shardbench"]:
+        from .bench.shardbench import main as shardbench_main
+
+        return shardbench_main(argv[1:])
+
+    from .obs import profiled_run
+    from .shard import ShardError
+
+    args = _parser().parse_args(argv)
+    trace_out = getattr(args, "trace_out", None)
     try:
-        return args.func(args)
-    except ConfigurationError as exc:
-        # A bad --config name is a usage error, like argparse's own.
+        with profiled_run(getattr(args, "profile", False), trace_out) as (
+            registry,
+            trace,
+        ):
+            args.registry, args.trace = registry, trace
+            code = args.func(args)
+            if code and trace is not None:
+                trace.discard()
+    except (ConfigurationError, ShardError) as exc:
+        # A bad --config name or an unshardable member set is a usage
+        # error, like argparse's own.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except LinkError as exc:
+        for error in exc.errors:
+            print(f"link error: {error}", file=sys.stderr)
+        return 1
     except FRONTEND_ERRORS as exc:
         print(f"repro: error: {describe_error(exc)}", file=sys.stderr)
         return 1
@@ -1224,6 +1038,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # to the atomic writers, no partial output file left behind).
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
+    if code == 0 and trace_out is not None:
+        notes = sys.stderr if getattr(args, "stdout_is_data", False) else None
+        print(f"wrote {trace_out}", file=notes)
+    return code
 
 
 if __name__ == "__main__":

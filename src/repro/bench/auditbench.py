@@ -26,9 +26,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
-import platform
 import sys
 import time
 from typing import Dict, List, Optional
@@ -39,6 +37,7 @@ from ..pipeline import Pipeline
 from ..serve.project import Project
 from ..serve.queries import LRUMemo, QueryEngine
 from .corpus import PROFILES, generate_c_source, plan_profile_program
+from .trajectory import append_trajectory, run_stamp
 
 DEFAULT_PROFILE = "505.mcf"
 
@@ -189,8 +188,7 @@ def run_benchmark(
         for c in clients.values()
     )
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
+        **run_stamp(),
         "params": {
             "profile": profile,
             "files_scale": files_scale,
@@ -204,18 +202,6 @@ def run_benchmark(
         "clients": clients,
         "target_met": all_ok,
     }
-
-
-def append_trajectory(path: pathlib.Path, record: Dict) -> None:
-    """Append ``record`` to the JSON trajectory file at ``path``."""
-    if path.exists():
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or "runs" not in data:
-            raise SystemExit(f"{path} exists but is not a trajectory file")
-    else:
-        data = {"benchmark": "auditbench", "schema": 1, "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -246,7 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         quick=args.quick,
     )
-    append_trajectory(args.out, record)
+    append_trajectory(args.out, record, "auditbench")
     print(f"\nwrote {args.out}")
     print(
         "cache/memo/identity checks"

@@ -28,7 +28,7 @@ from ..driver import (
     source_digest,
     validate_agreement,
 )
-from ..obs import Registry, TraceWriter
+from ..obs import Registry, TraceWriter, profiled_run
 from .suite import CorpusFile
 
 #: the named configurations of Table V
@@ -248,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import pathlib
     import time
 
-    from ..driver.cache import cache_from_args
+    from ..driver.cache import cache_from_args, write_text_atomic
     from .report import table5, table6
     from .suite import build_corpus, flatten
 
@@ -324,13 +324,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"corpus: {len(files)} files built in {time.time() - t0:.0f}s")
 
     cache = cache_from_args(args)
-    profiling = args.profile or args.trace_out is not None
-    registry = Registry() if profiling else None
-    trace = (
-        TraceWriter(args.trace_out) if args.trace_out is not None else None
-    )
     t0 = time.time()
-    try:
+    with profiled_run(args.profile, args.trace_out) as (registry, trace):
         results = run_experiment(
             files,
             args.configs or TABLE5_CONFIGS,
@@ -344,9 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if trace is not None:
             trace.emit("metrics", "run", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
     print(f"{len(results.runs)} runs in {time.time() - t0:.1f}s")
     print(results.driver)
     if registry is not None:
@@ -363,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print()
     print(table6(results, TABLE6_CONFIGS))
     if args.out is not None:
-        args.out.write_text(results.to_json() + "\n")
+        write_text_atomic(args.out, results.to_json() + "\n")
         print(f"\nwrote {args.out}")
 
     if args.ladder > 0:
@@ -398,9 +390,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(f"stages: {stage_lines}")
         if args.ladder_out is not None:
-            args.ladder_out.write_text(
+            write_text_atomic(
+                args.ladder_out,
                 json.dumps(report, sort_keys=True, separators=(",", ":"))
-                + "\n"
+                + "\n",
             )
             print(f"wrote {args.ladder_out}")
     return 0

@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import platform
 import socket
 import subprocess
 import sys
@@ -53,6 +52,7 @@ from ..serve.client import default_serve_argv
 from ..serve.protocol import PROTOCOL_SCHEMA, encode_frame, validate_response
 from .corpus import ProgramSpec, generate_c_source, plan_program
 from .timing import distribution
+from .trajectory import append_trajectory, run_stamp
 
 SPEEDUP_TARGET = 2.0
 
@@ -419,8 +419,7 @@ def run_benchmark(
     )
     identity_ok = baseline["identity_ok"] and fleet["identity_ok"]
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
+        **run_stamp(),
         "params": {
             "clients": clients,
             "workers": fleet_workers,
@@ -451,18 +450,6 @@ def run_benchmark(
         },
     }
     return record
-
-
-def append_trajectory(path: pathlib.Path, record: Dict) -> None:
-    """Append ``record`` to the JSON trajectory file at ``path``."""
-    if path.exists():
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or "runs" not in data:
-            raise SystemExit(f"{path} exists but is not a trajectory file")
-    else:
-        data = {"benchmark": "servebench", "schema": 1, "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -503,7 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         think_s=args.think_ms / 1e3,
         quick=args.quick,
     )
-    append_trajectory(args.out, record)
+    append_trajectory(args.out, record, "servebench")
 
     print(f"\nwrote {args.out}")
     print(

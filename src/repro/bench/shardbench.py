@@ -32,10 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import pathlib
-import platform
 import shutil
 import sys
 import tempfile
@@ -49,6 +46,7 @@ from ..obs import peak_rss_bytes
 from ..pipeline import Pipeline
 from ..shard import link_sharded, spine_slots, store_solution
 from .corpus import PROFILES, generate_c_source, plan_profile_program
+from .trajectory import append_trajectory, run_stamp
 
 #: near-linear scaling target at 8 jobs over 1 job
 SPEEDUP_TARGET = 3.0
@@ -237,9 +235,7 @@ def run_benchmark(
     measured_8x = any(r["jobs"] >= 8 for r in jobs_runs)
 
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **run_stamp(),
         "params": {
             "profile": profile,
             "files_scale": files_scale,
@@ -304,18 +300,6 @@ def validate_record(record: Dict) -> None:
         raise ValueError("shard_target_met must be a bool")
 
 
-def append_trajectory(path: pathlib.Path, record: Dict) -> None:
-    """Append ``record`` to the JSON trajectory file at ``path``."""
-    if path.exists():
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or "runs" not in data:
-            raise SystemExit(f"{path} exists but is not a trajectory file")
-    else:
-        data = {"benchmark": "shardbench", "schema": 1, "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -371,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         quick=args.quick,
     )
     validate_record(record)
-    append_trajectory(args.out, record)
+    append_trajectory(args.out, record, "shardbench")
 
     print(f"\nwrote {args.out}")
     print(

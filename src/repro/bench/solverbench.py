@@ -36,19 +36,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
-import platform
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..driver import ResultCache, SolveTask, TaskResult, solve_tasks, source_digest
 from ..driver.cache import cache_from_args
-from ..obs import Registry, TraceWriter
+from ..obs import Registry, TraceWriter, profiled_run
 from .runner import build_programs
 from .suite import CorpusFile, build_corpus, flatten
 from .timing import distribution
+from .trajectory import append_trajectory, run_stamp
 
 #: EP-mode, propagation-dominated configurations — the headline group
 PROPAGATION_CONFIGS = [
@@ -239,8 +238,7 @@ def run_benchmark(
         else None
     )
     record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
+        **run_stamp(),
         "params": {
             "files_scale": files_scale,
             "size_scale": size_scale,
@@ -264,18 +262,6 @@ def run_benchmark(
     if metrics is not None:
         record["metrics"] = metrics
     return record
-
-
-def append_trajectory(path: pathlib.Path, record: Dict) -> None:
-    """Append ``record`` to the JSON trajectory file at ``path``."""
-    if path.exists():
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or "runs" not in data:
-            raise SystemExit(f"{path} exists but is not a trajectory file")
-    else:
-        data = {"benchmark": "solverbench", "schema": 1, "runs": []}
-    data["runs"].append(record)
-    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -325,12 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if repetitions is None:
         repetitions = 1 if args.quick else 2
 
-    profiling = args.profile or args.trace_out is not None
-    registry = Registry() if profiling else None
-    trace = (
-        TraceWriter(args.trace_out) if args.trace_out is not None else None
-    )
-    try:
+    with profiled_run(args.profile, args.trace_out) as (registry, trace):
         record = run_benchmark(
             files_scale=args.files_scale,
             size_scale=args.size_scale,
@@ -345,10 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if trace is not None:
             trace.emit("metrics", "solverbench", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
-    append_trajectory(args.out, record)
+    append_trajectory(args.out, record, "solverbench")
 
     print(f"\nwrote {args.out}")
     for group, stats in record["summary"].items():

@@ -37,11 +37,15 @@ def compile_c(
     ``headers`` maps include names to their text (no filesystem access);
     ``predefined`` seeds object-like macros.  The produced module is
     verified and annotated with address-taken facts for BasicAA.
+    Frontend errors carry ``name`` as their ``source_name``.
     """
-    text = preprocess(source, headers, predefined, filename=name)
-    unit = parse(text, name)
-    sema = analyse(unit)
-    module = lower(sema, name)
+    try:
+        text = preprocess(source, headers, predefined, filename=name)
+        unit = parse(text, name)
+        module = lower(analyse(unit), name)
+    except FRONTEND_ERRORS as exc:
+        name_source(exc, name)
+        raise
     if verify:
         verify_module(module)
     compute_address_taken(module)
@@ -62,6 +66,15 @@ FRONTEND_ERRORS = (
     LowerError,
     ConstraintTextError,
 )
+
+
+def name_source(exc: BaseException, source_name: str) -> None:
+    """Attach ``source_name`` to a frontend error that does not name its
+    file yet.  The parser and sema know only line numbers; whoever knows
+    the file name calls this, so diagnostics read ``file:line``."""
+    if not getattr(exc, "source_name", None):
+        exc.source_name = source_name
+
 
 _LINE_PREFIX = re.compile(r"^line \d+(?::\d+)?: ")
 
@@ -112,4 +125,5 @@ __all__ = [
     "FRONTEND_ERRORS",
     "describe_error",
     "error_line",
+    "name_source",
 ]

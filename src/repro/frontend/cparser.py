@@ -32,7 +32,13 @@ from .lexer import Token, tokenize
 class ParseError(SyntaxError):
     def __init__(self, message: str, token: Token):
         super().__init__(f"line {token.line}:{token.col}: {message}")
+        self.detail = message
         self.token = token
+
+    def __reduce__(self):
+        # Pool workers send errors back pickled: rebuild through the
+        # constructor, then restore attributes such as ``source_name``.
+        return (type(self), (self.detail, self.token), self.__dict__)
 
 
 TYPE_SPECIFIER_KEYWORDS = {

@@ -45,8 +45,13 @@ class Token:
 class LexError(SyntaxError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}:{col}: {message}")
+        self.detail = message
         self.line = line
         self.col = col
+
+    def __reduce__(self):
+        # See ParseError.__reduce__: errors cross process boundaries.
+        return (type(self), (self.detail, self.line, self.col), self.__dict__)
 
 
 _SIMPLE_ESCAPES = {

@@ -16,6 +16,7 @@ from .linker import (
     LinkOptions,
     SymbolResolution,
     link_programs,
+    linked_name,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "LinkedProgram",
     "SymbolResolution",
     "link_programs",
+    "linked_name",
 ]

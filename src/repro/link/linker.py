@@ -252,6 +252,11 @@ def resolve_symbols(
     return occurrences
 
 
+def linked_name(names: Sequence[str]) -> str:
+    """The joint program's name for members ``names`` in link order."""
+    return "linked(" + "+".join(names) + ")"
+
+
 def link_programs(
     programs: Sequence[ConstraintProgram],
     options: Optional[LinkOptions] = None,
@@ -289,7 +294,7 @@ def link_programs(
                 defined_in[name] = program.name
                 def_sym_of[name] = sym
 
-    linked = ConstraintProgram("linked(" + "+".join(names) + ")")
+    linked = ConstraintProgram(linked_name(names))
 
     # --- pass 1: renumber ---------------------------------------------
     rep: Dict[str, int] = {}  # symbol name → joint representative var

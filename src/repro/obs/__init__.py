@@ -8,7 +8,9 @@ Two pieces (see ``docs/internals.md`` §10):
   cheap early-return when profiling is off.
 - :class:`TraceWriter` and the validators — structured JSONL trace
   events under the stable :data:`TRACE_SCHEMA`, emitted in
-  deterministic (task-index) order by the driver.
+  deterministic (task-index) order by the driver.  :func:`profiled_run`
+  hands a run its ``(registry, trace)`` pair and drops the trace of a
+  run that fails.
 
 The solver hot paths are *not* instrumented directly: they keep
 counting into :class:`repro.analysis.solution.SolverStats` as always,
@@ -24,6 +26,7 @@ from .trace import (
     TRACE_SCHEMA,
     TraceError,
     TraceWriter,
+    profiled_run,
     read_trace,
     validate_trace_line,
     validate_trace_text,
@@ -41,6 +44,7 @@ __all__ = [
     "TRACE_SCHEMA",
     "TraceError",
     "TraceWriter",
+    "profiled_run",
     "read_trace",
     "validate_trace_line",
     "validate_trace_text",

@@ -31,6 +31,9 @@ Event types
     id, ``ok`` and either the answering generation or the structured
     error code.  Added additively under schema 1 — every event set
     valid before it remains valid.
+``audit``
+    One audit client's report counts (``repro audit``); the event name
+    is the client.  Added additively under schema 1, like ``serve``.
 ``metrics``
     A full registry snapshot (:meth:`repro.obs.Registry.to_dict`),
     conventionally the last event of a run.
@@ -41,18 +44,31 @@ traces of identical runs differ only where the measured values do.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import pathlib
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
+
+from .registry import Registry
 
 __all__ = [
     "EVENT_TYPES",
     "TRACE_SCHEMA",
     "TraceError",
     "TraceWriter",
+    "profiled_run",
     "read_trace",
     "validate_trace_line",
     "validate_trace_text",
@@ -62,7 +78,7 @@ __all__ = [
 TRACE_SCHEMA = 1
 
 #: the closed set of event types (validation rejects anything else)
-EVENT_TYPES = ("solve", "stage", "link", "serve", "metrics")
+EVENT_TYPES = ("solve", "stage", "link", "serve", "audit", "metrics")
 
 
 class TraceError(ValueError):
@@ -74,9 +90,12 @@ class TraceWriter:
 
     Accepts a path or any text file object (left open — the caller owns
     it).  A path target is written through a same-directory temporary
-    file that :meth:`close` renames into place, so a run that dies
-    mid-trace never leaves a partial file under the requested name
-    (matching the driver cache's atomic-write discipline).
+    file that :meth:`close` renames into place and :meth:`discard`
+    deletes; used as a context manager, the writer commits when its
+    block completes and discards when it raises.  A run that dies
+    mid-trace therefore leaves nothing under the requested name, not
+    even the temporary file (the driver cache's atomic-write
+    discipline).
     """
 
     def __init__(self, target: Union[str, os.PathLike, io.TextIOBase]):
@@ -96,6 +115,7 @@ class TraceWriter:
             self._file = target
             self._owns = False
         self.events = 0
+        self._done = False  # committed or discarded
         # Concurrent serve workers emit per-request events; one lock
         # keeps event lines whole (never interleaved mid-line).
         self._lock = threading.Lock()
@@ -115,18 +135,53 @@ class TraceWriter:
             self.events += 1
 
     def close(self) -> None:
+        """Commit the trace (idempotent; a no-op after :meth:`discard`)."""
+        if self._done:
+            return
+        self._done = True
         self._file.flush()
         if self._owns:
             self._file.close()
         if self._tmp_path is not None:
             os.replace(self._tmp_path, self._final_path)
-            self._tmp_path = None
+
+    def discard(self) -> None:
+        """Drop the trace of a failed run: a path target never appears."""
+        if self._done:
+            return
+        self._done = True
+        if self._owns:
+            self._file.close()
+        if self._tmp_path is not None:
+            os.unlink(self._tmp_path)
 
     def __enter__(self) -> "TraceWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+
+@contextlib.contextmanager
+def profiled_run(
+    profile: bool, trace_out: Optional[Union[str, os.PathLike]]
+) -> Iterator[Tuple[Optional[Registry], Optional[TraceWriter]]]:
+    """``(registry, trace)`` for a run's ``--profile``/``--trace-out``.
+
+    The registry exists when profiling (a trace implies it), else None.
+    The trace, when ``trace_out`` is given, commits when the block
+    completes and is discarded when it raises; the caller discards it
+    itself for a run that fails without raising.
+    """
+    registry = Registry() if profile or trace_out is not None else None
+    if trace_out is None:
+        yield registry, None
+        return
+    with TraceWriter(trace_out) as trace:
+        yield registry, trace
 
 
 # ----------------------------------------------------------------------

@@ -32,14 +32,21 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
 from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
 from ..driver.cache import ResultCache
-from ..frontend import analyse, lower, parse, preprocess
+from ..frontend import (
+    FRONTEND_ERRORS,
+    analyse,
+    lower,
+    name_source,
+    parse,
+    preprocess,
+)
 from ..ir.module import Module
 from ..ir.verifier import compute_address_taken, verify_module
 from ..link import LinkedProgram, LinkOptions, link_programs
@@ -49,6 +56,9 @@ from ..obs import (
     record_peak_rss,
     record_solver_stats,
 )
+
+if TYPE_CHECKING:
+    from ..shard.driver import ShardStats
 
 #: per-stage artifact-encoding versions; bumping one invalidates exactly
 #: that stage's cache entries (and, through key chaining, downstream ones)
@@ -121,6 +131,14 @@ class LinkArtifact:
     key: str
     linked: LinkedProgram
     from_cache: bool = False
+    #: the member artifacts, when :meth:`Pipeline.link_sources` built
+    #: them in this process (the flat path)
+    members: Tuple[ConstraintsArtifact, ...] = ()
+    #: sharded links only (:meth:`Pipeline.link_sources` with
+    #: ``shards``): the run's accounting, and, when requested, member
+    #: name → joint-index maps composed through the merge tree
+    shard_stats: Optional["ShardStats"] = None
+    member_var_maps: Optional[Dict[str, List[int]]] = None
 
 
 @dataclass
@@ -287,8 +305,12 @@ class Pipeline:
             self._bump("parse", "memo_hits")
             return unit
         with self._timed("parse"):
-            text = preprocess(src.text, filename=src.name)
-            unit = parse(text, src.name)
+            try:
+                text = preprocess(src.text, filename=src.name)
+                unit = parse(text, src.name)
+            except FRONTEND_ERRORS as exc:
+                name_source(exc, src.name)
+                raise
         self._bump("parse", "runs")
         self._units[(src.name, src.digest)] = unit
         return unit
@@ -301,7 +323,11 @@ class Pipeline:
             return module
         unit = self.parse(src)
         with self._timed("lower"):
-            module = lower(analyse(unit), src.name)
+            try:
+                module = lower(analyse(unit), src.name)
+            except FRONTEND_ERRORS as exc:
+                name_source(exc, src.name)
+                raise
             verify_module(module)
             compute_address_taken(module)
         self._bump("lower", "runs")
@@ -368,7 +394,11 @@ class Pipeline:
         from ..interchange import parse_constraint_text
 
         with self._timed("import"):
-            program = parse_constraint_text(src.text, src.name)
+            try:
+                program = parse_constraint_text(src.text, src.name)
+            except FRONTEND_ERRORS as exc:
+                name_source(exc, src.name)
+                raise
             digest = program.digest()
         self._bump("import", "runs")
         if self.cache is not None:
@@ -494,14 +524,62 @@ class Pipeline:
         art = self.constraints(self.source(name, text))
         return self.solve(art.program, config, art.program_digest)
 
+    def member(self, src: SourceArtifact) -> ConstraintsArtifact:
+        """One link member: ``*.lir`` sources are constraint text
+        (:meth:`constraints_from_text`), everything else is C."""
+        if src.name.endswith(".lir"):
+            return self.constraints_from_text(src)
+        return self.constraints(src)
+
     def link_sources(
         self,
         sources: Sequence[SourceArtifact],
         options: Optional[LinkOptions] = None,
+        *,
+        shards: Optional[int] = None,
+        jobs: int = 1,
+        trace=None,
+        member_maps: bool = False,
     ) -> LinkArtifact:
-        """Sources → linked joint program through all stages."""
-        members = [self.constraints(src) for src in sources]
-        return self.link(members, options)
+        """Sources → linked joint program: the one link front door.
+
+        Without ``shards`` every source becomes a :meth:`member` and
+        :meth:`link` joins them flat.  With ``shards`` (K >= 1) the
+        sources link through :func:`repro.shard.link_sharded` over this
+        pipeline's cache and registry on ``jobs`` processes, emitting
+        its ``link`` event to ``trace``; the artifact then carries the
+        shard stats and, with ``member_maps``, the member-keyed var
+        maps.  Sharded links take C members only: ``.lir`` members
+        raise :class:`repro.shard.ShardError`.  Either way the named
+        canonical solutions agree, and frontend errors name their file.
+        """
+        if shards is None:
+            members = tuple(self.member(src) for src in sources)
+            art = self.link(members, options)
+            art.members = members
+            return art
+        from ..shard import ShardError, link_sharded
+
+        if any(src.name.endswith(".lir") for src in sources):
+            raise ShardError(
+                "--shards cannot link .lir members (use the flat path)"
+            )
+        sharded = link_sharded(
+            [(src.name, src.text) for src in sources],
+            shards,
+            options=options,
+            jobs=jobs,
+            cache=self.cache,
+            registry=self.registry,
+            trace=trace,
+            member_maps=member_maps,
+        )
+        return LinkArtifact(
+            sharded.root[1],
+            sharded.linked,
+            shard_stats=sharded.stats,
+            member_var_maps=sharded.member_var_maps,
+        )
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from ..analysis.omega import OMEGA
 from ..analysis.solution import Solution
 from ..analysis.api import DEFAULT_CONFIGURATION
 from ..driver.cache import ResultCache
-from ..frontend import FRONTEND_ERRORS
 from ..link import LinkedProgram, LinkOptions
 from ..obs import NULL_REGISTRY, Registry
 from ..pipeline import ConstraintsArtifact, Pipeline, SourceArtifact
@@ -339,14 +338,7 @@ class Project:
         key = (src.name, src.digest)
         member = self._member_memo.get(key)
         if member is None:
-            try:
-                member = self.pipeline.constraints(src)
-            except FRONTEND_ERRORS as exc:
-                # Attribute the failure to its member for file:line
-                # diagnostics (the parser/sema only know line numbers).
-                if getattr(exc, "source_name", None) is None:
-                    exc.source_name = src.name
-                raise
+            member = self.pipeline.constraints(src)
             self._member_memo[key] = member
         return member
 

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..driver.cache import ResultCache
 from ..driver.pool import Executor, Worker
-from ..link import LinkedProgram, LinkOptions, link_programs
+from ..link import LinkedProgram, LinkOptions, link_programs, linked_name
 from ..obs import Registry, TraceWriter, record_peak_rss, scope as _obs_scope
 from ..pipeline.stages import Pipeline, _key
 from .plan import ShardPlan, plan_shards
@@ -421,6 +421,11 @@ def link_sharded(
             if member_maps
             else None
         )
+        # The merge tree nests its labels ("linked(linked(a)+…)"); the
+        # root takes the flat link's name, so reports and exported text
+        # match the flat path for any K.  Only this in-memory copy is
+        # renamed: cached artifacts and their keys keep the tree's.
+        linked.program.name = linked_name([name for name, _ in sources])
     finally:
         if ephemeral is not None:
             shutil.rmtree(ephemeral, ignore_errors=True)

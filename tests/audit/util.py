@@ -1,9 +1,9 @@
 """Shared helpers for the audit test suite.
 
-``build_context`` mirrors the two link paths of ``repro audit`` — flat
-(C and ``.lir`` members mixed) and sharded (C only, any ``--shards`` /
-``--jobs``) — so determinism tests compare exactly what the CLI would
-produce.
+``build_context`` links through the same front door as ``repro audit``
+(``Pipeline.link_sources``) — flat (C and ``.lir`` members mixed) or
+sharded (C only, any ``--shards`` / ``--jobs``) — so determinism tests
+compare exactly what the CLI would produce.
 """
 
 import pathlib
@@ -42,39 +42,22 @@ def build_context(
     sources = [
         pipeline.source(name, text) for name, text in files.items()
     ]
-    ir_sources = [s for s in sources if not s.name.endswith(".lir")]
-    options = LinkOptions()
-    var_maps = None
-    if shards:
-        from repro.shard import link_sharded
-
-        sharded = link_sharded(
-            [(s.name, s.text) for s in sources],
-            shards,
-            options=options,
-            jobs=jobs,
-            cache=cache,
-            member_maps=True,
-        )
-        linked = sharded.linked
-        var_maps = sharded.member_var_maps
-        linked.program.name = (
-            "linked(" + "+".join(s.name for s in sources) + ")"
-        )
-    else:
-        members = [
-            pipeline.constraints_from_text(s)
-            if s.name.endswith(".lir")
-            else pipeline.constraints(s)
-            for s in sources
-        ]
-        linked = pipeline.link(members, options).linked
+    link_art = pipeline.link_sources(
+        sources,
+        LinkOptions(),
+        shards=shards or None,
+        jobs=jobs,
+        member_maps=True,
+    )
+    linked = link_art.linked
     configuration = config if config is not None else DEFAULT_CONFIGURATION
     solution = pipeline.solve(linked.program, configuration).attach(
         linked.program
     )
+    ir_sources = [s for s in sources if not s.name.endswith(".lir")]
     context = build_audit_context(
-        pipeline, ir_sources, linked, solution, var_maps=var_maps
+        pipeline, ir_sources, linked, solution,
+        var_maps=link_art.member_var_maps,
     )
     return pipeline, context, solution
 

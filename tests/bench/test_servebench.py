@@ -115,8 +115,8 @@ class TestLoadHarness:
 class TestTrajectory:
     def test_creates_and_appends(self, tmp_path):
         path = tmp_path / "BENCH_serve.json"
-        append_trajectory(path, {"speedup": 2.5})
-        append_trajectory(path, {"speedup": 3.0})
+        append_trajectory(path, {"speedup": 2.5}, "servebench")
+        append_trajectory(path, {"speedup": 3.0}, "servebench")
         data = json.loads(path.read_text())
         assert data["benchmark"] == "servebench"
         assert data["schema"] == 1
@@ -126,4 +126,4 @@ class TestTrajectory:
         path = tmp_path / "BENCH_serve.json"
         path.write_text("[]")
         with pytest.raises(SystemExit):
-            append_trajectory(path, {})
+            append_trajectory(path, {}, "servebench")

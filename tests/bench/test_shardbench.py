@@ -55,8 +55,8 @@ class TestQuickRun:
 
     def test_append_trajectory(self, quick_record, tmp_path):
         path = tmp_path / "BENCH_shard.json"
-        append_trajectory(path, quick_record)
-        append_trajectory(path, quick_record)
+        append_trajectory(path, quick_record, "shardbench")
+        append_trajectory(path, quick_record, "shardbench")
         data = json.loads(path.read_text())
         assert data["benchmark"] == "shardbench"
         assert data["schema"] == 1

@@ -88,8 +88,8 @@ class TestRunBenchmark:
 class TestAppendTrajectory:
     def test_creates_and_appends(self, tmp_path):
         path = tmp_path / "BENCH_solver.json"
-        append_trajectory(path, {"headline_median_speedup": 2.5})
-        append_trajectory(path, {"headline_median_speedup": 2.7})
+        append_trajectory(path, {"headline_median_speedup": 2.5}, "solverbench")
+        append_trajectory(path, {"headline_median_speedup": 2.7}, "solverbench")
         data = json.loads(path.read_text())
         assert data["benchmark"] == "solverbench"
         assert data["schema"] == 1
@@ -99,4 +99,4 @@ class TestAppendTrajectory:
         path = tmp_path / "other.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(SystemExit, match="not a trajectory file"):
-            append_trajectory(path, {})
+            append_trajectory(path, {}, "solverbench")

@@ -13,6 +13,7 @@ from repro.obs import (
     TRACE_SCHEMA,
     TraceError,
     TraceWriter,
+    profiled_run,
     read_trace,
     validate_trace_line,
     validate_trace_text,
@@ -50,6 +51,27 @@ class TestWriter:
             writer.emit("stage", "constraints", {"runs": 1})
         assert len(read_trace(path)) == 1
         assert writer._file.closed
+
+    def test_failed_block_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(RuntimeError):
+            with TraceWriter(path) as writer:
+                writer.emit("stage", "constraints", {"runs": 1})
+                raise RuntimeError("the run died")
+        assert list(tmp_path.iterdir()) == []
+        writer.close()  # a no-op once discarded
+        assert list(tmp_path.iterdir()) == []
+
+    def test_profiled_run(self, tmp_path):
+        with profiled_run(False, None) as (registry, trace):
+            assert registry is None and trace is None
+        with profiled_run(True, None) as (registry, trace):
+            assert registry.enabled and trace is None
+        path = tmp_path / "t.jsonl"
+        with profiled_run(False, path) as (registry, trace):
+            assert registry.enabled  # a trace implies profiling
+            trace.emit("metrics", "run", registry.to_dict())
+        assert [e["event"] for e in read_trace(path)] == ["metrics"]
 
     def test_canonical_line_encoding(self):
         buf = io.StringIO()

@@ -217,3 +217,50 @@ class TestSerialization:
         assert all("seconds" not in stats for stats in canonical.values())
         text = json.dumps(canonical, sort_keys=True)
         assert json.loads(text) == canonical
+
+
+class TestLinkSources:
+    """``link_sources``: the one front door for flat and sharded links."""
+
+    def sources(self, pipeline):
+        return [pipeline.source("a.c", SRC_A), pipeline.source("b.c", SRC_B)]
+
+    def test_sharded_root_takes_the_flat_name(self):
+        pipeline = Pipeline()
+        flat = pipeline.link_sources(self.sources(pipeline))
+        sharded = pipeline.link_sources(
+            self.sources(pipeline), shards=2, member_maps=True
+        )
+        assert flat.shard_stats is None and flat.member_var_maps is None
+        assert [m.name for m in flat.members] == ["a.c", "b.c"]
+        assert sharded.shard_stats.members == 2
+        assert set(sharded.member_var_maps) == {"a.c", "b.c"}
+        name = "linked(a.c+b.c)"
+        assert flat.linked.program.name == sharded.linked.program.name == name
+        solutions = [
+            pipeline.solve(art.linked.program, CONFIG)
+            .attach(art.linked.program)
+            .to_named_canonical()
+            for art in (flat, sharded)
+        ]
+        assert solutions[0] == solutions[1]
+
+    def test_lir_members_link_flat_only(self):
+        from repro.interchange import export_constraint_text
+        from repro.shard import ShardError
+
+        pipeline = Pipeline()
+        text = export_constraint_text(
+            pipeline.constraints(pipeline.source("a.c", SRC_A)).program
+        )
+        sources = [
+            pipeline.source("a.lir", text), pipeline.source("b.c", SRC_B)
+        ]
+        flat = pipeline.link_sources(sources)
+        assert pipeline.stats["import"].runs == 1
+        assert flat.linked.program.to_dict() == (
+            pipeline.link_sources(self.sources(pipeline))
+            .linked.program.to_dict()
+        )
+        with pytest.raises(ShardError, match=".lir members"):
+            pipeline.link_sources(sources, shards=2)

@@ -1,6 +1,11 @@
 """CLI tests (python -m repro)."""
 
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -385,3 +390,129 @@ class TestServeQueryCLI:
         assert [e["name"] for e in events] == [
             "<invalid>", "ping", "open", "points_to", "shutdown"
         ]
+
+
+ARENA = str(
+    pathlib.Path(__file__).resolve().parents[1] / "examples/corpus/arena.c"
+)
+
+
+@pytest.fixture
+def badc(tmp_path):
+    path = tmp_path / "bad.c"
+    path.write_text("int f(void) { return 1 +; }\n")
+    return str(path)
+
+
+def run_repro(*args, timeout=60):
+    """Run the CLI in a subprocess; a run still going after ``timeout``
+    seconds fails the test, its whole process group killed."""
+    import repro
+
+    env = dict(
+        os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"repro {' '.join(args)} still running after {timeout}s")
+    return proc.returncode, out, err
+
+
+class TestWorkerErrors:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda bad: ["sweep", bad, "--jobs", "2"],
+            lambda bad: ["link", ARENA, bad, "--shards", "2", "--jobs", "2"],
+        ],
+        ids=["sweep", "sharded-link"],
+    )
+    def test_parse_error_in_a_pool_worker_exits_1(self, badc, command):
+        code, _, err = run_repro(*command(badc))
+        assert code == 1, err
+        assert err.startswith("repro: error: bad.c:1: "), err
+
+
+class TestLinkFrontDoor:
+    @pytest.mark.parametrize(
+        "command", [["link"], ["constraints", "export"], ["audit", "escape"]]
+    )
+    def test_sharded_paths_name_the_failing_file(self, badc, capsys, command):
+        assert main([*command, ARENA, badc, "--shards", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "repro: error: bad.c:1: unexpected token ';'\n"
+
+    @pytest.mark.parametrize("shards", ["0", "-1", "two"])
+    def test_shards_must_be_a_positive_integer(self, tu_pair, capsys, shards):
+        with pytest.raises(SystemExit) as exc:
+            main(["link", *tu_pair, "--shards", shards])
+        assert exc.value.code == 2
+        assert "argument --shards" in capsys.readouterr().err
+
+    @pytest.fixture
+    def lir_pair(self, tu_pair, tmp_path, capsys):
+        """``a.c`` exported as ``a.lir``, next to the C ``b.c``."""
+        lir = tmp_path / "a.lir"
+        assert main(["constraints", "export", tu_pair[0], "--out", str(lir)]) == 0
+        capsys.readouterr()
+        return str(lir), tu_pair[1]
+
+    @pytest.mark.parametrize("command", [["link"], ["constraints", "export"]])
+    def test_lir_members_match_their_c_source(
+        self, tu_pair, lir_pair, capsys, command
+    ):
+        assert main([*command, *tu_pair]) == 0
+        from_c = capsys.readouterr().out
+        assert main([*command, *lir_pair]) == 0
+        assert capsys.readouterr().out == from_c
+
+    @pytest.mark.parametrize(
+        "command", [["link"], ["constraints", "export"], ["audit", "escape"]]
+    )
+    def test_lir_members_cannot_shard(self, lir_pair, capsys, command):
+        assert main([*command, *lir_pair, "--shards", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: --shards cannot link .lir members"
+            " (use the flat path)\n"
+        )
+
+
+class TestTraceOnFailure:
+    @pytest.mark.parametrize("command", [["link"], ["audit", "escape"]])
+    def test_frontend_error_leaves_no_trace_file(
+        self, badc, tmp_path, capsys, command
+    ):
+        trace = tmp_path / "t.jsonl"
+        assert main([*command, ARENA, badc, "--trace-out", str(trace)]) == 1
+        assert list(tmp_path.glob("t.jsonl*")) == []
+
+    def test_link_error_leaves_no_trace_file(self, tmp_path, capsys):
+        a = tmp_path / "a.c"
+        b = tmp_path / "b.c"
+        a.write_text("int x = 1;\n")
+        b.write_text("int x = 2;\n")
+        trace = tmp_path / "t.jsonl"
+        assert main(["link", str(a), str(b), "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr().err.startswith("link error: ")
+        assert list(tmp_path.glob("t.jsonl*")) == []
+
+    def test_audit_trace_validates(self, tu_pair, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        trace = tmp_path / "t.jsonl"
+        argv = ["audit", "escape", *tu_pair, "--trace-out", str(trace)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {trace}\n")
+        events = [e["event"] for e in read_trace(trace)]
+        assert events[-2:] == ["audit", "metrics"]
