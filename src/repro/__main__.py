@@ -535,8 +535,8 @@ def _read_project_files(paths) -> dict:
     }
 
 
-def _serve_components(args):
-    """(project, server) shared by ``serve`` and ``query``."""
+def _serve_server(args):
+    """The analysis server ``serve`` and ``query`` run."""
     from .serve import DEFAULT_MAX_REQUEST_BYTES, AnalysisServer, Project
 
     project = Project(
@@ -545,7 +545,7 @@ def _serve_components(args):
         cache=cache_from_args(args),
         registry=args.registry,
     )
-    server = AnalysisServer(
+    return AnalysisServer(
         project,
         timeout=args.timeout,
         max_request_bytes=(
@@ -559,23 +559,17 @@ def _serve_components(args):
         workers=getattr(args, "workers", 1),
         state_dir=getattr(args, "state_dir", None),
     )
-    return project, server
 
 
 def cmd_serve(args) -> int:
-    from .serve import serve_stdio, serve_tcp
+    from .serve import DEFAULT_PROJECT, serve_stdio, serve_tcp
 
-    project, server = _serve_components(args)
+    server = _serve_server(args)
     if args.files:
         # Address the fleet's default project (a --state-dir restore
-        # may have replaced the one _serve_components built), and
-        # persist the startup generation like any other commit.
-        from .serve import DEFAULT_PROJECT
-
-        state = server._state(DEFAULT_PROJECT)
-        with state.write_lock:
-            state.project.open(_read_project_files(args.files))
-            server._persist(state)
+        # may have replaced the one _serve_server built), and persist
+        # the startup generation like any other commit.
+        server.open(DEFAULT_PROJECT, _read_project_files(args.files))
     if args.tcp is not None:
         host, _, port_text = args.tcp.rpartition(":")
         try:
@@ -604,13 +598,13 @@ def cmd_serve(args) -> int:
 def cmd_query(args) -> int:
     import json
 
-    from .serve import InProcessClient, encode_frame
+    from .serve import DEFAULT_PROJECT, InProcessClient, encode_frame
 
-    project, server = _serve_components(args)
+    server = _serve_server(args)
     client = InProcessClient(server)
     failures = 0
     try:
-        project.open(_read_project_files(args.files))
+        server.open(DEFAULT_PROJECT, _read_project_files(args.files))
         for raw in args.query:
             raw = raw.strip()
             if raw.startswith("{"):
@@ -784,14 +778,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile C to textual IR")
     p.add_argument("file")
     p.add_argument("--include", help="directory of headers", default=None)
-    p.set_defaults(func=cmd_compile)
+    p.set_defaults(func=cmd_compile, command_parser=p)
 
     p = sub.add_parser("analyze", help="run the points-to analysis")
     p.add_argument("file")
     p.add_argument("--include", default=None)
     _add_config_options(p)
     p.add_argument("--dump-constraints", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, command_parser=p)
 
     p = sub.add_parser("sweep", help="compare solver configurations")
     p.add_argument("file")
@@ -804,7 +798,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_cache_options(p, "solved results")
     _add_obs_options(p)
     p.add_argument("configs", nargs="*", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, command_parser=p)
 
     p = sub.add_parser(
         "link", help="link several translation units and solve jointly"
@@ -824,7 +818,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_cache_options(p, "stage artifacts")
     _add_out_option(p, "write the full report JSON here")
     _add_obs_options(p)
-    p.set_defaults(func=cmd_link)
+    p.set_defaults(func=cmd_link, command_parser=p)
 
     p = sub.add_parser(
         "audit",
@@ -881,7 +875,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_out_option(p, "write the canonical report JSON here")
     _add_cache_options(p, "stage artifacts and audit reports")
     _add_obs_options(p)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_audit, command_parser=p)
 
     p = sub.add_parser(
         "constraints",
@@ -900,7 +894,9 @@ def _parser() -> argparse.ArgumentParser:
     _add_out_option(pe, "write the constraint text here (default: stdout)")
     _add_cache_options(pe, "stage artifacts")
     _add_obs_options(pe)
-    pe.set_defaults(func=cmd_constraints_export, stdout_is_data=True)
+    pe.set_defaults(
+        func=cmd_constraints_export, stdout_is_data=True, command_parser=pe
+    )
 
     ps = csub.add_parser(
         "solve",
@@ -918,7 +914,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     _add_cache_options(ps, "solved results")
     _add_obs_options(ps)
-    ps.set_defaults(func=cmd_constraints_solve)
+    ps.set_defaults(func=cmd_constraints_solve, command_parser=ps)
 
     p = sub.add_parser(
         "serve",
@@ -952,7 +948,7 @@ def _parser() -> argparse.ArgumentParser:
         " from it on restart (digest-validated)",
     )
     _add_serve_options(p)
-    p.set_defaults(func=cmd_serve)
+    p.set_defaults(func=cmd_serve, command_parser=p)
 
     p = sub.add_parser(
         "query",
@@ -965,7 +961,7 @@ def _parser() -> argparse.ArgumentParser:
         ' {"method": ..., "params": {...}}; repeatable, answered in order',
     )
     _add_serve_options(p)
-    p.set_defaults(func=cmd_query)
+    p.set_defaults(func=cmd_query, command_parser=p)
 
     # ``run`` and ``shardbench`` never reach argparse (main forwards
     # them first); their entries keep them in --help.
@@ -988,8 +984,31 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("configs", help="list all valid configurations")
-    p.set_defaults(func=cmd_configs)
+    p.set_defaults(func=cmd_configs, command_parser=p)
     return parser
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv``, positionals allowed after options.
+
+    A variadic positional ends at the first option, so the top-level
+    parse leaves any positional after an option over
+    (``sweep FILE --no-cache CONFIG...``).  Then the chosen command's
+    own parser reads its arguments again with ``parse_intermixed_args``
+    (the top-level parser cannot: it has subparsers).
+    """
+    args, extras = _parser().parse_known_args(argv)
+    if not extras:
+        return args
+    # The command words (``sweep``, ``constraints export``) lead argv.
+    words = {
+        dest: getattr(args, dest)
+        for dest in ("command", "subcommand")
+        if hasattr(args, dest)
+    }
+    return args.command_parser.parse_intermixed_args(
+        argv[len(words):], argparse.Namespace(**words)
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1009,7 +1028,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .obs import profiled_run
     from .shard import ShardError
 
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     try:
         with profiled_run(getattr(args, "profile", False), trace_out) as (

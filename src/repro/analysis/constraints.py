@@ -64,6 +64,12 @@ class ProgramFormatError(ValueError):
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
         self.where = where
+        self.detail = message
+
+    def __reduce__(self):
+        # Pool workers send errors back pickled: rebuild through the
+        # constructor, then restore any further attributes.
+        return (type(self), (self.where, self.detail), self.__dict__)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .base import (
     normalize_client_params,
     register,
     run_audit,
-    solution_index,
 )
 from .context import build_audit_context
 from .findings import (
@@ -73,5 +72,4 @@ __all__ = [
     "render_report_evidence",
     "render_report_table",
     "run_audit",
-    "solution_index",
 ]

@@ -6,10 +6,9 @@ consume:
 - the **constraint tier** — the (joint) :class:`ConstraintProgram` and
   its canonical :class:`Solution` — always present, whether the program
   came from the C frontend or from imported LIR constraint text; and
-- the **IR tier** — per-member value-level views (anything exposing the
-  ``points_to(value)`` / ``externally_accessible_values()`` /
-  ``.built`` duck type of :class:`repro.serve.project.MemberBinding`
-  or :class:`repro.analysis.api.PointsToResult`) — present only for
+- the **IR tier** — per-member value-level views
+  (:class:`repro.analysis.api.PointsToResult` over the joint solution,
+  built by :meth:`repro.pipeline.Pipeline.binding`) — present only for
   members with IR behind them.
 
 Constraint-tier clients (``escape``, ``calls``) run everywhere,
@@ -28,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..alias import AndersenAA, BasicAA, CombinedAA
+from ..analysis.api import PointsToResult
 from ..analysis.constraints import ConstraintProgram
 from ..analysis.solution import Solution
 from ..obs import NULL_REGISTRY, Registry
@@ -42,7 +42,6 @@ __all__ = [
     "audit_names",
     "make_oracle",
     "register",
-    "solution_index",
     "run_audit",
 ]
 
@@ -60,22 +59,22 @@ class AuditContext:
 
     ``loader`` (when given) produces the IR-tier member map on first
     use — deriving member bindings re-runs the frontend, and pure
-    constraint-tier clients must never pay for it.
+    constraint-tier clients must never pay for it.  Without one the
+    context is constraint-tier only.
     """
 
     def __init__(
         self,
         program: ConstraintProgram,
         solution: Solution,
-        members: Optional[Dict[str, object]] = None,
-        loader: Optional[Callable[[], Dict[str, object]]] = None,
+        loader: Optional[Callable[[], Dict[str, PointsToResult]]] = None,
     ):
         self.program = program
         self.solution = solution
-        self._members = members
+        self._members: Optional[Dict[str, PointsToResult]] = None
         self._loader = loader
 
-    def bindings(self) -> Dict[str, object]:
+    def bindings(self) -> Dict[str, PointsToResult]:
         """IR-tier member views by member name ({} when none exist)."""
         if self._members is None:
             self._members = self._loader() if self._loader is not None else {}
@@ -95,36 +94,8 @@ class AuditContext:
             },
         )
 
-    @classmethod
-    def from_result(cls, result) -> "AuditContext":
-        """Over a single-module :class:`~repro.analysis.api.PointsToResult`."""
-        return cls(
-            result.built.program,
-            result.solution,
-            members={result.built.module.name: result},
-        )
 
-    @classmethod
-    def from_solution(
-        cls, program: ConstraintProgram, solution: Solution
-    ) -> "AuditContext":
-        """Constraint tier only (imported ``.lir`` programs)."""
-        return cls(program, solution, members={})
-
-
-def solution_index(binding, loc: int) -> int:
-    """Map a member-local constraint variable into solution index space.
-
-    A :class:`~repro.serve.project.MemberBinding` carries the linker's
-    local→joint ``mapping``; a single-module
-    :class:`~repro.analysis.api.PointsToResult` does not — its solution
-    already speaks local indexes.
-    """
-    mapping = getattr(binding, "mapping", None)
-    return loc if mapping is None else mapping[loc]
-
-
-def make_oracle(binding, oracle: str):
+def make_oracle(binding: PointsToResult, oracle: str):
     """Build the named alias oracle over one member binding."""
     if oracle == "andersen":
         return AndersenAA(binding)
@@ -162,7 +133,7 @@ class AuditClient:
 
     # ------------------------------------------------------------------
 
-    def ir_members(self, context: AuditContext) -> Dict[str, object]:
+    def ir_members(self, context: AuditContext) -> Dict[str, PointsToResult]:
         """The IR-tier members, or a structured error when none exist."""
         bindings = context.bindings()
         if not bindings:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..analysis.frontend import SummaryFn, build_constraints
+from ..analysis.api import PointsToResult
 from ..analysis.solution import Solution
 from ..link import LinkedProgram
 from ..pipeline import Pipeline, SourceArtifact
@@ -26,7 +26,6 @@ def build_audit_context(
     ir_sources: Sequence[SourceArtifact],
     linked: LinkedProgram,
     solution: Solution,
-    summaries: Optional[Dict[str, SummaryFn]] = None,
     var_maps: Optional[Dict[str, Sequence[int]]] = None,
 ) -> AuditContext:
     """Audit context over a linked+solved program.
@@ -40,18 +39,10 @@ def build_audit_context(
     """
     maps = var_maps if var_maps is not None else linked.var_maps
 
-    def load() -> Dict[str, object]:
-        from ..serve.project import MemberBinding  # avoid import cycle
-
-        members: Dict[str, object] = {}
-        for src in ir_sources:
-            module = pipeline.lower(src)
-            built = build_constraints(
-                module, summaries if summaries is not None else pipeline.summaries
-            )
-            members[src.name] = MemberBinding(
-                built, maps[src.name], solution
-            )
-        return members
+    def load() -> Dict[str, PointsToResult]:
+        return {
+            src.name: pipeline.binding(src, maps[src.name], solution)
+            for src in ir_sources
+        }
 
     return AuditContext(linked.program, solution, loader=load)

@@ -33,7 +33,7 @@ from typing import Dict, List
 from ..analysis.omega import OMEGA
 from ..ir import Alloca, Call, Load, Memcpy, Ret, Store
 from ..ir.module import Function
-from .base import AuditClient, AuditContext, make_oracle, register, solution_index
+from .base import AuditClient, AuditContext, make_oracle, register
 from .findings import Evidence, Finding
 
 __all__ = ["DanglingAudit"]
@@ -83,11 +83,11 @@ class DanglingAudit(AuditClient):
         allocas: Dict[int, tuple] = {}
         for value, loc in binding.built.memloc_of.items():
             if isinstance(value, Alloca) and value.parent is not None:
-                joint = solution_index(binding, loc)
+                joint = binding.mapping[loc]
                 allocas[joint] = (value.parent.parent, names[joint])
 
         # Locations that outlive any frame: globals, heap cells, E, Ω.
-        outliving = set(solution_index(binding, loc)
+        outliving = set(binding.mapping[loc]
                         for loc in binding.built.heap_site_of.values())
         outliving |= {
             sym.var

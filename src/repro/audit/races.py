@@ -29,7 +29,7 @@ from ..clients.callgraph import build_call_graph
 from ..clients.modref import compute_mod_ref
 from ..ir import Call
 from ..ir.module import Function
-from .base import AuditClient, AuditContext, register, solution_index
+from .base import AuditClient, AuditContext, register
 from .findings import Evidence, Finding
 
 __all__ = ["RaceAudit", "THREAD_SPAWN"]
@@ -178,7 +178,7 @@ class RaceAudit(AuditClient):
         functions_by_joint = {}
         for value, loc in binding.built.memloc_of.items():
             if isinstance(value, Function):
-                functions_by_joint[solution_index(binding, loc)] = value
+                functions_by_joint[binding.mapping[loc]] = value
         for fn in module.defined_functions():
             for inst in fn.instructions():
                 if not (

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import pickle
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -129,7 +130,16 @@ def _init_worker(
 
 
 def _run_in_worker(fn: Callable, job):
-    return fn(job, _worker)
+    try:
+        return fn(job, _worker)
+    except Exception as exc:
+        # The pool sends the exception back pickled; one that cannot
+        # make the round trip would leave the parent waiting forever.
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
+        raise
 
 
 class Executor:

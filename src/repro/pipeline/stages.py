@@ -7,7 +7,7 @@ split into explicit stages, each producing a content-addressed artifact:
 stage     artifact                     cache key hashes
 ========  ===========================  ==============================
 source    :class:`SourceArtifact`      the source text itself
-parse     AST translation unit         (in-memory memo by source digest)
+parse     AST translation unit         (not kept: only ``lower`` reads it)
 lower     :class:`repro.ir.Module`     (in-memory memo by source digest)
 constr    :class:`ConstraintsArtifact` source digest + summaries tag
 link      :class:`LinkArtifact`        member program digests + options
@@ -18,9 +18,11 @@ The ``constraints``, ``link`` and ``solve`` stages persist to the
 driver's :class:`~repro.driver.cache.ResultCache` (when one is given)
 under the ``stages/`` namespace; ``parse`` and ``lower`` produce live
 object graphs (AST/IR) that are cheap relative to their serialised
-size, so they are memoised in-process only — a disk hit on the
-*constraints* stage means they never run at all, which is exactly how a
-configuration-only change skips parsing.
+size, so they never reach the disk.  The IR module is memoised
+in-process (member bindings and audits re-read it); the AST is dropped
+as soon as it is lowered.  A disk hit on the *constraints* stage means
+neither runs at all, which is exactly how a configuration-only change
+skips parsing.
 
 Every stage key embeds a per-stage version string, bumped whenever the
 artifact encoding or the producing algorithm changes meaning.
@@ -34,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.api import PointsToResult
 from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
 from ..analysis.frontend import SummaryFn, build_constraints
@@ -177,7 +180,7 @@ class StageStats:
     runs: int = 0  # times the stage actually did its work
     hits: int = 0  # disk-cache hits (persistent stages only)
     misses: int = 0
-    memo_hits: int = 0  # in-process memo hits (parse/lower)
+    memo_hits: int = 0  # in-process memo hits (lower)
     seconds: float = 0.0
 
     def to_dict(self, timings: bool = True) -> Dict:
@@ -267,7 +270,6 @@ class Pipeline:
         # Memo keys include the TU *name*: two identical sources under
         # different names are still distinct modules (and must carry
         # their own names into linker diagnostics).
-        self._units: Dict[tuple, object] = {}  # (name, digest) → AST unit
         self._modules: Dict[tuple, Module] = {}  # (name, digest) → Module
         # Guards the memos and stage stats: the serve fleet derives
         # member bindings on reader threads while the writer rebuilds
@@ -299,11 +301,7 @@ class Pipeline:
         return SourceArtifact.of(name, text)
 
     def parse(self, src: SourceArtifact):
-        """Source → AST translation unit (in-memory memo)."""
-        unit = self._units.get((src.name, src.digest))
-        if unit is not None:
-            self._bump("parse", "memo_hits")
-            return unit
+        """Source → AST translation unit (timed, not memoised)."""
         with self._timed("parse"):
             try:
                 text = preprocess(src.text, filename=src.name)
@@ -312,7 +310,6 @@ class Pipeline:
                 name_source(exc, src.name)
                 raise
         self._bump("parse", "runs")
-        self._units[(src.name, src.digest)] = unit
         return unit
 
     def lower(self, src: SourceArtifact) -> Module:
@@ -370,6 +367,31 @@ class Pipeline:
                 {"program": program.to_dict(), "digest": digest},
             )
         return ConstraintsArtifact(src.name, key, program, digest)
+
+    def binding(
+        self,
+        src: SourceArtifact,
+        mapping: Sequence[int],
+        solution: Solution,
+        program_digest: Optional[str] = None,
+    ) -> PointsToResult:
+        """One C member's value-level view of a (joint) solution.
+
+        Lowers ``src`` (memoised) and rebuilds its constraints with this
+        pipeline's summaries, so the view's variables are the member's;
+        ``mapping`` carries them into ``solution``'s index space.  With
+        ``program_digest`` the rebuilt program must hash to it — the
+        program the solution was linked from.
+        """
+        built = build_constraints(self.lower(src), self.summaries)
+        if (
+            program_digest is not None
+            and built.program.digest() != program_digest
+        ):
+            raise RuntimeError(
+                f"non-deterministic constraint build for member {src.name!r}"
+            )
+        return PointsToResult(built, solution, mapping)
 
     def constraints_from_text(
         self, src: SourceArtifact

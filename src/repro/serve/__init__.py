@@ -6,7 +6,10 @@ alias/points-to oracle (docs/internals.md §11):
 - :class:`Project` / :class:`Snapshot` — in-memory sources kept built
   through parse→lower→constraints→link→solve with a monotone generation
   counter; :meth:`Project.update` rebuilds stage-granularly, re-running
-  the frontend for exactly the edited members.
+  the frontend for exactly the edited members.  ``Project.write_lock``
+  is the project's one writer lock.  A member's value-level view is a
+  :class:`repro.analysis.api.PointsToResult` over the joint solution
+  (:meth:`Snapshot.binding`, built by ``Pipeline.binding``).
 - :class:`QueryEngine` — batched points-to / alias / conflict-rate /
   call-graph / Ω-classification queries over one generation snapshot,
   memoised in a shared :class:`LRUMemo` keyed by (generation, query).
@@ -14,10 +17,12 @@ alias/points-to oracle (docs/internals.md §11):
   (schema 2: multi-project tenancy via the ``project`` envelope field).
 - :mod:`~repro.serve.state` — canonical snapshot persistence
   (``--state-dir``), digest-validated warm starts.
-- :class:`AnalysisServer` — the concurrent fleet dispatcher: N
-  read-only query workers over immutable generation snapshots, one
-  writer per project — with :func:`serve_stdio` / :func:`serve_tcp`
-  transports and the matching clients.
+- :class:`AnalysisServer` — the concurrent fleet dispatcher: every
+  request runs on one pool of N worker threads (the read-only queries
+  over immutable generation snapshots, one writer per project at a
+  time); :meth:`AnalysisServer.open` opens and persists a tenant.  The
+  :func:`serve_stdio` / :func:`serve_tcp` transports share one line
+  loop; the matching clients live in :mod:`~repro.serve.client`.
 
 Surfaced on the command line as ``repro serve`` (persistent) and
 ``repro query`` (one-shot, byte-identical answers); load-tested by
@@ -25,7 +30,7 @@ Surfaced on the command line as ``repro serve`` (persistent) and
 """
 
 from .client import InProcessClient, ServeClient, ServeError
-from .project import MemberBinding, Project, Snapshot
+from .project import Project, Snapshot
 from .protocol import (
     ACCEPTED_SCHEMAS,
     DEFAULT_MAX_REQUEST_BYTES,
@@ -59,7 +64,6 @@ __all__ = [
     "ERROR_CODES",
     "InProcessClient",
     "LRUMemo",
-    "MemberBinding",
     "ORACLES",
     "PROTOCOL_SCHEMA",
     "Project",

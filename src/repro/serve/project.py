@@ -29,69 +29,17 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..analysis.api import DEFAULT_CONFIGURATION, PointsToResult
 from ..analysis.config import Configuration
-from ..analysis.frontend import ModuleConstraints, SummaryFn, build_constraints
+from ..analysis.frontend import SummaryFn
 from ..analysis.omega import OMEGA
 from ..analysis.solution import Solution
-from ..analysis.api import DEFAULT_CONFIGURATION
 from ..driver.cache import ResultCache
 from ..link import LinkedProgram, LinkOptions
 from ..obs import NULL_REGISTRY, Registry
 from ..pipeline import ConstraintsArtifact, Pipeline, SourceArtifact
 
-__all__ = ["MemberBinding", "Project", "Snapshot"]
-
-
-class MemberBinding:
-    """One member's IR↔joint-solution view, for value-level queries.
-
-    The joint :class:`Solution` speaks joint constraint-variable
-    indexes; alias oracles and the call-graph client speak IR values of
-    one member module.  A binding re-derives the member's
-    :class:`ModuleConstraints` (deterministic from the memoised module)
-    and composes its value→variable map with the linker's
-    original→joint map, presenting exactly the interface
-    :class:`repro.alias.AndersenAA` and
-    :func:`repro.clients.callgraph.build_call_graph` consume.
-    """
-
-    def __init__(
-        self,
-        built: ModuleConstraints,
-        mapping: Sequence[int],
-        solution: Solution,
-    ):
-        self.built = built
-        self.mapping = list(mapping)
-        self.solution = solution
-        self._value_of_loc: Dict[int, object] = {}
-        for value, loc in built.memloc_of.items():
-            self._value_of_loc[loc] = value
-        for call, loc in built.heap_site_of.items():
-            self._value_of_loc[loc] = call
-
-    @property
-    def module(self):
-        return self.built.module
-
-    def points_to(self, value) -> frozenset:
-        """Sol of the member value, in *joint* indexes (plus Ω)."""
-        var = self.built.var_of_value.get(value)
-        if var is None:
-            return frozenset()
-        try:
-            return self.solution.points_to(self.mapping[var])
-        except KeyError:
-            return frozenset()
-
-    def externally_accessible_values(self) -> frozenset:
-        """The member's memory objects that are in the joint E."""
-        external = self.solution.external
-        return frozenset(
-            value
-            for loc, value in self._value_of_loc.items()
-            if self.mapping[loc] in external
-        )
+__all__ = ["Project", "Snapshot"]
 
 
 @dataclass
@@ -113,8 +61,7 @@ class Snapshot:
     linked: LinkedProgram
     solution: Solution
     _pipeline: Pipeline
-    _summaries: Optional[Dict[str, SummaryFn]] = None
-    _bindings: Dict[str, MemberBinding] = field(default_factory=dict)
+    _bindings: Dict[str, PointsToResult] = field(default_factory=dict)
     _vars_by_name: Optional[Dict[str, List[int]]] = None
     #: guards the lazy binding/name-index memos — concurrent read-only
     #: query workers share one snapshot and may race to derive them
@@ -131,22 +78,19 @@ class Snapshot:
                 return src
         raise KeyError(name)
 
-    def binding(self, name: str) -> MemberBinding:
+    def binding(self, name: str) -> PointsToResult:
         """The (lazily built) value-level view of one member."""
         with self._lock:
             binding = self._bindings.get(name)
             if binding is not None:
                 return binding
             src = self.source(name)  # KeyError on unknown members
-            module = self._pipeline.lower(src)
-            built = build_constraints(module, self._summaries)
             member = next(m for m in self.members if m.name == name)
-            if built.program.digest() != member.program_digest:
-                raise RuntimeError(
-                    f"non-deterministic constraint build for member {name!r}"
-                )
-            binding = MemberBinding(
-                built, self.linked.var_maps[name], self.solution
+            binding = self._pipeline.binding(
+                src,
+                self.linked.var_maps[name],
+                self.solution,
+                member.program_digest,
             )
             self._bindings[name] = binding
             return binding
@@ -226,7 +170,6 @@ class Project:
             summaries_tag=summaries_tag,
             registry=self.registry,
         )
-        self._summaries = summaries
         self.generation = 0
         self._sources: Dict[str, SourceArtifact] = {}
         #: (name, digest) → ConstraintsArtifact; the member-level memo
@@ -235,8 +178,9 @@ class Project:
         self._snapshot: Optional[Snapshot] = None
         #: serializes rebuilds: one writer builds generation G+1 while
         #: readers keep answering against the immutable snapshot G (the
-        #: commit is a single attribute assignment, atomic under the GIL)
-        self._write_lock = threading.RLock()
+        #: commit is a single attribute assignment, atomic under the GIL);
+        #: the server holds it across a commit and its persist
+        self.write_lock = threading.RLock()
 
     # ------------------------------------------------------------------
 
@@ -261,7 +205,7 @@ class Project:
         """
         if not files:
             raise ValueError("cannot open a project with no sources")
-        with self._write_lock:
+        with self.write_lock:
             sources = {
                 name: SourceArtifact.of(name, text)
                 for name, text in files.items()
@@ -282,7 +226,7 @@ class Project:
         project.  An update that changes nothing still advances the
         generation (the rebuild replays entirely from memos).
         """
-        with self._write_lock:
+        with self.write_lock:
             if self._snapshot is None:
                 raise RuntimeError("no project open (call open() first)")
             sources = dict(self._sources)
@@ -314,7 +258,7 @@ class Project:
         first ``update`` is as incremental as it would have been in the
         original process.
         """
-        with self._write_lock:
+        with self.write_lock:
             self.generation = generation
             self._sources = {src.name: src for src in sources}
             for src, member in zip(sources, members):
@@ -328,7 +272,6 @@ class Project:
                 linked=linked,
                 solution=solution,
                 _pipeline=self.pipeline,
-                _summaries=self._summaries,
             )
             return self._snapshot
 
@@ -361,7 +304,6 @@ class Project:
             linked=linked,
             solution=solution,
             _pipeline=self.pipeline,
-            _summaries=self._summaries,
         )
         return self._snapshot
 

@@ -21,15 +21,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..alias import (
-    AndersenAA,
-    BasicAA,
-    CombinedAA,
-    conflict_rate_fn,
-    memory_accesses,
-)
+from ..alias import conflict_rate_fn, memory_accesses
 from ..analysis.omega import OMEGA
 from ..audit import (
     AuditContext,
@@ -38,6 +32,7 @@ from ..audit import (
     ParamError,
     REQUIRED,
     canonical_json,
+    make_oracle,
     normalize_client_params,
     normalize_params,
     run_audit,
@@ -166,40 +161,17 @@ class QueryEngine:
 
     def batch(self, queries: List[Dict]) -> List[Dict]:
         """Evaluate a query list; per-item errors don't fail the batch."""
-        out = []
-        for query in queries:
-            if (
-                not isinstance(query, dict)
-                or not isinstance(query.get("method"), str)
-                or not isinstance(query.get("params", {}), dict)
-            ):
-                out.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "invalid_params",
-                            "message": f"bad batch item: {query!r}",
-                        },
-                    }
-                )
-                continue
-            try:
-                result = self.evaluate(
-                    query["method"], query.get("params", {})
-                )
-            except QueryError as exc:
-                out.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "invalid_params",
-                            "message": str(exc),
-                        },
-                    }
-                )
-            else:
-                out.append({"ok": True, "result": result})
-        return out
+        return [
+            _batch_item(
+                "batch",
+                query,
+                isinstance(query, dict)
+                and isinstance(query.get("method"), str)
+                and isinstance(query.get("params", {}), dict),
+                lambda: self.evaluate(query["method"], query.get("params", {})),
+            )
+            for query in queries
+        ]
 
     # ------------------------------------------------------------------
     # Param validation / shared lookups
@@ -268,20 +240,14 @@ class QueryEngine:
         return fn
 
     def _oracle(self, member: str, oracle: str):
-        if oracle not in ORACLES:
-            raise QueryError(
-                f"unknown oracle {oracle!r} (choose from {list(ORACLES)})"
-            )
+        """The named oracle over one member (memoised per engine)."""
         key = (member, oracle)
         aa = self._oracles.get(key)
         if aa is None:
-            binding = self._binding(member)
-            if oracle == "andersen":
-                aa = AndersenAA(binding)
-            elif oracle == "basicaa":
-                aa = BasicAA()
-            else:
-                aa = CombinedAA([AndersenAA(binding), BasicAA()])
+            try:
+                aa = make_oracle(self._binding(member), oracle)
+            except AuditError as exc:
+                raise QueryError(str(exc)) from None
             self._oracles[key] = aa
         return aa
 
@@ -410,34 +376,17 @@ class QueryEngine:
             raise QueryError(
                 f"audit_batch: requests must be a list: {requests!r}"
             )
-        results = []
-        for item in requests:
-            if not isinstance(item, dict):
-                results.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "invalid_params",
-                            "message": f"bad audit_batch item: {item!r}",
-                        },
-                    }
+        return {
+            "results": [
+                _batch_item(
+                    "audit_batch",
+                    item,
+                    isinstance(item, dict),
+                    lambda: self.evaluate("audit", item),
                 )
-                continue
-            try:
-                report = self.evaluate("audit", item)
-            except QueryError as exc:
-                results.append(
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "invalid_params",
-                            "message": str(exc),
-                        },
-                    }
-                )
-            else:
-                results.append({"ok": True, "result": report})
-        return {"results": results}
+                for item in requests
+            ]
+        }
 
     def _q_callgraph(self, member) -> Dict:
         binding = self._binding(member)
@@ -489,3 +438,22 @@ class QueryEngine:
             "text": export_constraint_text(program),
             "digest": program.digest(),
         }
+
+
+def _batch_item(
+    where: str, item, valid: bool, answer: Callable[[], Dict]
+) -> Dict:
+    """One batch entry: ``answer()``, or an ``invalid_params`` frame for
+    a malformed ``item`` or a :class:`QueryError` (neither fails the
+    batch)."""
+    if not valid:
+        message = f"bad {where} item: {item!r}"
+    else:
+        try:
+            return {"ok": True, "result": answer()}
+        except QueryError as exc:
+            message = str(exc)
+    return {
+        "ok": False,
+        "error": {"code": "invalid_params", "message": message},
+    }

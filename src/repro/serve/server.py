@@ -34,14 +34,15 @@ Observability: ``serve.requests``, ``serve.errors.<code>``,
 closing ``metrics`` snapshot that folds in the per-project memo
 counters (``serve.memo.*``, including ``evicted``).
 
-Timeout semantics: with ``timeout`` set, requests run on a pool of
-``workers`` threads and the transport waits ``timeout`` seconds before
-answering ``timeout`` and moving on; the expired computation keeps a
-worker busy until it finishes — a deadline is a latency bound for the
-*client*, not a cancellation.  Abandoned-but-running requests are
-visible: ``serve.timeouts`` counts them and ``status`` reports the
-current in-flight and abandoned depth, so operators can see the latency
-bound being hit instead of silently queueing behind it.
+Dispatch: every request runs on one pool of ``workers`` threads and
+the transport waits for its answer.  With ``timeout`` set, the
+transport waits at most ``timeout`` seconds, answers ``timeout`` and
+moves on; the expired computation keeps a worker busy until it
+finishes — a deadline is a latency bound for the *client*, not a
+cancellation.  Abandoned-but-running requests are visible:
+``serve.timeouts`` counts them and ``status`` reports the current
+in-flight and abandoned depth, so operators can see the latency bound
+being hit instead of silently queueing behind it.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable, Dict, List, Optional, TextIO
+from typing import Callable, Dict, List, Mapping, Optional, TextIO
 
 from ..frontend import FRONTEND_ERRORS, describe_error, error_line
 from ..link import LinkError
 from ..obs import NULL_REGISTRY, Registry, TraceWriter
-from .project import Project
+from .project import Project, Snapshot
 from .protocol import (
     DEFAULT_MAX_REQUEST_BYTES,
     DEFAULT_PROJECT,
@@ -85,15 +86,17 @@ SERVER_METHODS = (
 
 
 class ProjectState:
-    """One tenant: a project, its query memo, and its writer lock."""
+    """One tenant: a project and its query memo.
+
+    Writers serialize on ``project.write_lock`` (open/update/persist for
+    this tenant only); other tenants' writers and every reader proceed
+    concurrently.
+    """
 
     def __init__(self, project_id: str, project: Project, memo_entries: int):
         self.id = project_id
         self.project = project
         self.memo = LRUMemo(memo_entries)
-        #: serializes open/update/persist for this tenant only — other
-        #: tenants' writers and every reader proceed concurrently
-        self.write_lock = threading.RLock()
         self._engine: Optional[QueryEngine] = None
 
     def engine(self) -> QueryEngine:
@@ -157,10 +160,10 @@ class AnalysisServer:
         #: memo for ``solve_constraints`` — server-level because the
         #: method needs no open project; keyed by (text hash, config)
         self._constraints_memo = LRUMemo(memo_entries)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        #: bounds concurrent dispatches on the no-timeout path
-        self._slots = threading.BoundedSemaphore(workers)
+        #: every request runs here; the transport thread only waits
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-serve"
+        )
         self._depth_lock = threading.Lock()
         self._in_flight = 0
         self._abandoned = 0
@@ -262,7 +265,7 @@ class AnalysisServer:
         """One request line → exactly one response line (never raises).
 
         Thread-safe: any number of transport threads may call this
-        concurrently; execution depth is bounded by ``workers``.
+        concurrently; the request runs on the ``workers``-thread pool.
         """
         method = "<invalid>"
         project_id = None
@@ -307,17 +310,12 @@ class AnalysisServer:
     def _timed_dispatch(self, request: Dict) -> Dict:
         self.registry.add(f"serve.method.{request['method']}")
         self.registry.add(f"serve.project.{request['project']}.requests")
-        if self.timeout is None:
-            with self._slots:
-                return self._tracked_dispatch(request)
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-serve",
-                )
-            pool = self._pool
-        future = pool.submit(self._tracked_dispatch, request)
+        try:
+            future = self._pool.submit(self._tracked_dispatch, request)
+        except RuntimeError:  # finish() has shut the pool down
+            return error_response(
+                request["id"], "shutting_down", "server is shutting down"
+            )
         try:
             return future.result(timeout=self.timeout)
         except FutureTimeout:
@@ -541,17 +539,25 @@ class AnalysisServer:
             )
         return files
 
+    def open(self, project_id: str, files: Mapping[str, str]) -> Snapshot:
+        """(Re)build one tenant over ``files`` and persist the commit.
+
+        Creates the tenant on first use; holds its writer lock across
+        the build and the persist.
+        """
+        state = self._state_or_create(project_id)
+        with state.project.write_lock:
+            snapshot = state.project.open(files)
+            self._persist(state)
+        return snapshot
+
     def _open(self, project_id: str, params: Dict) -> tuple:
         unknown = set(params) - {"files"}
         if unknown:
             raise ProtocolError(
                 "invalid_params", f"open: unexpected params {sorted(unknown)}"
             )
-        files = self._files_param(params)
-        state = self._state_or_create(project_id)
-        with state.write_lock:
-            snapshot = state.project.open(files)
-            self._persist(state)
+        snapshot = self.open(project_id, self._files_param(params))
         return snapshot.summary(), snapshot.generation
 
     def _update(self, project_id: str, params: Dict) -> tuple:
@@ -572,7 +578,7 @@ class AnalysisServer:
                 "invalid_params", "'removed' must be a list of member names"
             )
         state = self._state_or_error(project_id)
-        with state.write_lock:
+        with state.project.write_lock:
             before = {
                 stage: dict(counts)
                 for stage, counts in state.project.stage_report(
@@ -598,10 +604,7 @@ class AnalysisServer:
     def finish(self) -> None:
         """Drain-and-close: final metrics event, worker pool shutdown."""
         self.closing = True
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        self._pool.shutdown(wait=True)
         if self.registry.enabled:
             # Fold the per-project memo accounting into the registry so
             # the closing metrics event reports hits/misses/stores/
@@ -623,6 +626,26 @@ class AnalysisServer:
 # ----------------------------------------------------------------------
 
 
+def _serve_lines(server: AnalysisServer, rfile, wfile) -> None:
+    """Answer one newline-delimited request stream, in order.
+
+    Stops at EOF or after answering the request that carried
+    ``shutdown``.  A client that goes away (``OSError``) ends only this
+    stream; ``KeyboardInterrupt`` propagates to the transport.
+    """
+    try:
+        for line in rfile:
+            if not line.strip():
+                continue
+            wfile.write(server.handle_line(line.rstrip("\n")))
+            wfile.write("\n")
+            wfile.flush()
+            if server.closing:
+                break
+    except OSError:
+        pass  # client went away; the server keeps serving
+
+
 def serve_stdio(
     server: AnalysisServer,
     stdin: Optional[TextIO] = None,
@@ -630,22 +653,16 @@ def serve_stdio(
 ) -> int:
     """Serve newline-delimited requests from a text stream pair.
 
-    Responses are flushed per line; the loop drains the request that
-    carried ``shutdown`` (answering it) before returning.  EOF on stdin
-    is a graceful shutdown too.  stdio is inherently one ordered
-    stream, so this transport is sequential regardless of ``workers``.
+    Responses are flushed per line; EOF on stdin and Ctrl-C are a
+    graceful shutdown too.  stdio is inherently one ordered stream, so
+    this transport is sequential regardless of ``workers``.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
     try:
-        for line in stdin:
-            if not line.strip():
-                continue
-            stdout.write(server.handle_line(line.rstrip("\n")))
-            stdout.write("\n")
-            stdout.flush()
-            if server.closing:
-                break
+        _serve_lines(
+            server,
+            stdin if stdin is not None else sys.stdin,
+            stdout if stdout is not None else sys.stdout,
+        )
     except KeyboardInterrupt:
         pass  # graceful: fall through to finish()
     finally:
@@ -654,21 +671,13 @@ def serve_stdio(
 
 
 def _serve_connection(server: AnalysisServer, conn: socket.socket) -> None:
-    """One TCP connection's request loop (fleet mode, own thread)."""
+    """One TCP connection's request stream."""
     with conn:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-        wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-        try:
-            for line in rfile:
-                if not line.strip():
-                    continue
-                wfile.write(server.handle_line(line.rstrip("\n")))
-                wfile.write("\n")
-                wfile.flush()
-                if server.closing:
-                    break
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client went away; the fleet keeps serving
+        _serve_lines(
+            server,
+            conn.makefile("r", encoding="utf-8", newline="\n"),
+            conn.makefile("w", encoding="utf-8", newline="\n"),
+        )
 
 
 def serve_tcp(
@@ -684,12 +693,13 @@ def serve_tcp(
     processes use it instead of racing the bind.
 
     With ``server.workers == 1`` connections are served **sequentially**
-    in arrival order — the single-worker baseline, preserved exactly for
-    clients that depend on strict cross-connection ordering (and
-    measured as the control by ``repro.bench.servebench``).  With more
-    workers, every connection gets its own reader thread and requests
-    fan out across the worker pool: per-connection order is preserved,
-    cross-connection requests interleave.
+    in arrival order on the accepting thread — the single-worker
+    baseline, preserved exactly for clients that depend on strict
+    cross-connection ordering (and measured as the control by
+    ``repro.bench.servebench``).  With more workers, every connection
+    gets its own reader thread and requests fan out across the worker
+    pool: per-connection order is preserved, cross-connection requests
+    interleave.
     """
     sock = socket.create_server((host, port))
     sock.settimeout(0.2)
@@ -703,35 +713,20 @@ def serve_tcp(
                 conn, _ = sock.accept()
             except socket.timeout:
                 continue
-            except KeyboardInterrupt:
-                break
             if server.workers <= 1:
-                with conn:
-                    rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-                    wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-                    try:
-                        for line in rfile:
-                            if not line.strip():
-                                continue
-                            wfile.write(server.handle_line(line.rstrip("\n")))
-                            wfile.write("\n")
-                            wfile.flush()
-                            if server.closing:
-                                break
-                    except (BrokenPipeError, ConnectionResetError):
-                        continue  # client went away; keep serving
-                    except KeyboardInterrupt:
-                        break
-            else:
-                thread = threading.Thread(
-                    target=_serve_connection,
-                    args=(server, conn),
-                    name="repro-serve-conn",
-                    daemon=True,
-                )
-                thread.start()
-                threads.append(thread)
-                threads = [t for t in threads if t.is_alive()]
+                _serve_connection(server, conn)
+                continue
+            thread = threading.Thread(
+                target=_serve_connection,
+                args=(server, conn),
+                name="repro-serve-conn",
+                daemon=True,
+            )
+            thread.start()
+            threads.append(thread)
+            threads = [t for t in threads if t.is_alive()]
+    except KeyboardInterrupt:
+        pass  # graceful: fall through to finish()
     finally:
         sock.close()
         deadline = time.monotonic() + 5.0

@@ -264,3 +264,39 @@ class TestLinkSources:
         )
         with pytest.raises(ShardError, match=".lir members"):
             pipeline.link_sources(sources, shards=2)
+
+
+class TestBinding:
+    """``Pipeline.binding``: the one builder of member views."""
+
+    def build(self):
+        pipeline = Pipeline()
+        src = pipeline.source("a.c", SRC_A)
+        art = pipeline.constraints(src)
+        solution = pipeline.solve(art.program, CONFIG).attach(art.program)
+        return pipeline, src, art, solution
+
+    def test_identity_view_matches_analyze_module(self):
+        from repro.analysis import analyze_module
+
+        pipeline, src, art, solution = self.build()
+        view = pipeline.binding(
+            src, range(art.program.num_vars), solution, art.program_digest
+        )
+        direct = analyze_module(pipeline.lower(src), CONFIG)
+        assert view.module is direct.module
+        assert (
+            view.externally_accessible_values()
+            == direct.externally_accessible_values()
+        )
+        for value in direct.built.var_of_value:
+            assert view.points_to_values(value) == direct.points_to_values(
+                value
+            )
+
+    def test_digest_mismatch_is_rejected(self):
+        pipeline, src, art, solution = self.build()
+        with pytest.raises(RuntimeError, match="non-deterministic"):
+            pipeline.binding(
+                src, range(art.program.num_vars), solution, "0" * 64
+            )

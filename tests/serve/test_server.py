@@ -203,6 +203,12 @@ class TestTimeoutAndShutdown:
         response = client.request("ping")
         assert response["error"]["code"] == "shutting_down"
 
+    def test_requests_after_finish_answer_shutting_down(self):
+        server, _ = make_server()
+        server.finish()
+        response = InProcessClient(server).request("ping")
+        assert response["error"]["code"] == "shutting_down"
+
     def test_trace_events_per_request(self, tmp_path):
         trace_path = tmp_path / "serve.jsonl"
         registry = Registry()
@@ -258,6 +264,18 @@ class TestStdioTransport:
             encode_frame({"schema": 1, "id": 1, "method": "ping"}),
         ])
         assert len(responses) == 1 and responses[0]["ok"]
+
+    def test_client_gone_ends_the_session(self):
+        class GoneStdout(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError("client went away")
+
+        server, _ = make_server()
+        stdin = io.StringIO(
+            encode_frame({"schema": 1, "id": 1, "method": "ping"}) + "\n"
+        )
+        assert serve_stdio(server, stdin, GoneStdout()) == 0
+        assert server.closing  # finish() ran
 
     def test_hostile_stream_answers_everything(self):
         responses = self.run_session([

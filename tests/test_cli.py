@@ -444,6 +444,53 @@ class TestWorkerErrors:
         assert err.startswith("repro: error: bad.c:1: "), err
 
 
+HASHTABLE = str(pathlib.Path(ARENA).with_name("hashtable.c"))
+
+
+def _sweep_configs(out):
+    """The configuration column of a sweep table."""
+    rows = [line.split() for line in out.splitlines()[1:]]
+    return [row[0] for row in rows if len(row) == 3]
+
+
+class TestPositionalsAfterOptions:
+    """A variadic positional may follow an option on every command."""
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (
+                ["sweep", HASHTABLE, "--no-cache", "IP+WL(FIFO)", "EP+Naive"],
+                lambda out: _sweep_configs(out) == ["IP+WL(FIFO)", "EP+Naive"],
+            ),
+            (
+                ["link", ARENA, "--internalize", HASHTABLE],
+                lambda out: out.startswith("; linked 2 modules"),
+            ),
+            (
+                ["serve", ARENA, "--stdio", HASHTABLE],
+                lambda out: json.loads(out.splitlines()[0])["result"][
+                    "project"]["members"] == ["arena.c", "hashtable.c"],
+            ),
+        ],
+        ids=["sweep", "link", "serve"],
+    )
+    def test_positional_after_option(self, argv, check, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO('{"schema":1,"id":1,"method":"status"}\n')
+        )
+        assert main(argv) == 0
+        assert check(capsys.readouterr().out)
+
+    def test_link_spellings_agree(self, capsys):
+        assert main(["link", ARENA, "--internalize", HASHTABLE]) == 0
+        intermixed = capsys.readouterr().out
+        assert main(["link", ARENA, HASHTABLE, "--internalize"]) == 0
+        assert capsys.readouterr().out == intermixed
+
+
 class TestLinkFrontDoor:
     @pytest.mark.parametrize(
         "command", [["link"], ["constraints", "export"], ["audit", "escape"]]
